@@ -186,12 +186,18 @@ class NeuralAgent:
             self.state_scale = scale
         else:
             self.state_scale = None
+        self._x = np.empty(state_dim + 1)
 
     def _input_single(self, s, t) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
+        """Network input for one state, written into a buffer reused by every call."""
+        x = self._x
         if self.state_scale is not None:
-            s = s / self.state_scale
-        return np.concatenate([s, [time_feature(t, self.horizon)]])
+            np.divide(s, self.state_scale, out=x[:-1])
+        else:
+            x[:-1] = s
+        # Same value as time_feature: both divisions are correctly rounded.
+        x[-1] = t / self.horizon
+        return x
 
     def _input_batch(self, S, T) -> np.ndarray:
         S = np.asarray(S, dtype=np.float64)
@@ -226,6 +232,7 @@ class NeuralAgent:
         twin.state_dim = self.state_dim
         twin.n_actions = self.n_actions
         twin.state_scale = None if self.state_scale is None else self.state_scale.copy()
+        twin._x = np.empty_like(self._x)
         return twin
 
     def update(self, batch: dict, discount: float) -> float:

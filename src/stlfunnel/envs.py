@@ -9,6 +9,7 @@ time tau; episodes end only at the horizon.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,12 +27,13 @@ class ActionGrid:
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.shape = tuple(len(a) for a in self.axes)
         self.n = int(np.prod(self.shape))
+        # Row-major flat order, as np.unravel_index: the last axis varies fastest.
+        self._tuples = list(itertools.product(*(ax.tolist() for ax in self.axes)))
 
     def tuple_of(self, index: int) -> tuple[float, ...]:
         if not (0 <= index < self.n):
             raise IndexError(f"action index {index} out of range [0,{self.n})")
-        multi = np.unravel_index(index, self.shape)
-        return tuple(float(ax[i]) for ax, i in zip(self.axes, multi))
+        return self._tuples[index]
 
     def index_of(self, values: Sequence[float]) -> int:
         multi = []
@@ -138,6 +140,10 @@ class PendulumEnv(Environment):
         self.grid = ActionGrid([_arange_inclusive(-3.0, 3.0, 0.1)])
         self.constants = {**_PENDULUM_CONSTANTS, **cfg.constants}
         super().__init__(cfg)
+        g, m, l, mu = (self.constants[k] for k in ("g", "m", "l", "mu"))
+        self._ml2 = m * l * l
+        self._g_over_l = g / l
+        self._mu_over_ml2 = mu / self._ml2
 
     def default_reset(self):
         # Hanging-down equilibrium.
@@ -147,10 +153,9 @@ class PendulumEnv(Environment):
         (torque,) = self.grid.tuple_of(action_index)
         theta, omega = state
         tau = self.cfg.tau
-        g, m, l, mu = (self.constants[k] for k in ("g", "m", "l", "mu"))
-        ml2 = m * l * l
         theta_next = theta + tau * omega
-        omega_next = omega + tau * ((g / l) * math.sin(theta) - (mu / ml2) * omega + torque / ml2)
+        omega_next = omega + tau * (self._g_over_l * math.sin(theta)
+                                    - self._mu_over_ml2 * omega + torque / self._ml2)
         return np.array([theta_next, omega_next])
 
     def energy(self, state) -> float:

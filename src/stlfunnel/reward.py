@@ -13,11 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .funnel import FunnelSchedule, gamma_eval
+import numpy as np
+
+from .funnel import FunnelSchedule, FunnelSegment
 from .robustness import StateVector, rho_pointwise
 from .stl.formula import Formula
 
-__all__ = ["RewardSpec", "reward", "reward_sign_check", "NoActiveSegmentError"]
+__all__ = [
+    "RewardSpec", "reward", "reward_sign_check", "NoActiveSegmentError", "segment_margin",
+    "per_psi_robustness", "robustness_columns", "funnel_columns",
+]
 
 MODE_FUNNEL = "funnel"
 MODE_ABLATION = "ablation-no-funnel"
@@ -45,16 +50,21 @@ class RewardSpec:
         return self.schedule.horizon
 
 
-def _segment_reward(spec: RewardSpec, seg, s: StateVector, t: int) -> float:
-    rho = float(rho_pointwise(spec.psis[seg.psi_index], s))
-    return rho + gamma_eval(seg, t) - seg.params.rho_max
+def segment_margin(seg: FunnelSegment, rho, t):
+    """Funnel margin rho + gamma(t) - rho_max of one segment at step t.
 
-
-def reward(spec: RewardSpec, s: StateVector, t: int, action=None) -> float:
-    """Shaped reward at (s, t); the action argument is accepted and ignored.
-
-    Steps covered by no segment yield 0.
+    The single definition of the funnel term. rho and t may be scalars or
+    equal-length arrays; every t must lie in [seg.t_begin, seg.t_end].
     """
+    return rho + seg.gamma_table[t - seg.t_begin] - seg.params.rho_max
+
+
+def _margin(spec: RewardSpec, seg: FunnelSegment, s: StateVector, t: int) -> float:
+    return float(segment_margin(seg, float(rho_pointwise(spec.psis[seg.psi_index], s)), t))
+
+
+def reward(spec: RewardSpec, s: StateVector, t: int) -> float:
+    """Shaped reward at (s, t); steps covered by no segment yield 0."""
     if t < 0 or t > spec.horizon:
         raise ValueError(f"step {t} beyond horizon {spec.horizon}")
     active = spec.schedule.active_segments(t)
@@ -64,7 +74,7 @@ def reward(spec: RewardSpec, s: StateVector, t: int, action=None) -> float:
         # Raw robustness of the first owning segment; no funnel term.
         seg = active[0]
         return float(rho_pointwise(spec.psis[seg.psi_index], s))
-    return min(_segment_reward(spec, seg, s, t) for seg in active)
+    return min(_margin(spec, seg, s, t) for seg in active)
 
 
 def reward_sign_check(spec: RewardSpec, s: StateVector, t: int) -> tuple[str, float]:
@@ -76,10 +86,60 @@ def reward_sign_check(spec: RewardSpec, s: StateVector, t: int) -> tuple[str, fl
     active = spec.schedule.active_segments(t)
     if not active:
         raise NoActiveSegmentError(f"no active segment at step {t}")
-    margin = min(_segment_reward(spec, seg, s, t) for seg in active)
+    margin = min(_margin(spec, seg, s, t) for seg in active)
     return ("inside" if margin >= 0 else "below"), margin
 
 
 def per_psi_robustness(spec: RewardSpec, s: StateVector) -> list[float]:
     """Pointwise robustness of every sub-formula at state s."""
     return [float(rho_pointwise(p, s)) for p in spec.psis]
+
+
+def robustness_columns(spec: RewardSpec, states: np.ndarray,
+                       schema: Sequence[str]) -> np.ndarray:
+    """(n, n_psi) pointwise robustness of every sub-formula at each row of states.
+
+    Expression evaluation broadcasts over the state columns and uses only
+    correctly rounded operations, so row t equals per_psi_robustness of
+    state t bit for bit.
+    """
+    columns = {name: states[:, i] for i, name in enumerate(schema)}
+    out = np.empty((len(states), len(spec.psis)))
+    for i, psi in enumerate(spec.psis):
+        out[:, i] = rho_pointwise(psi, columns)
+    return out
+
+
+def funnel_columns(spec: RewardSpec, rho_psi: np.ndarray):
+    """Reward, funnel margin and lower bound at every step 0..horizon.
+
+    rho_psi is robustness_columns over horizon+1 states. Returns (rewards,
+    margin, gamma_lower): margin is the minimum over the active segments'
+    margins and gamma_lower the lower bound of the segment attaining it (the
+    first on ties), both NaN where no segment is active; rewards equal
+    reward() at each step, whatever the mode.
+    """
+    schedule = spec.schedule
+    mask = schedule.active_mask
+    n_seg, n = mask.shape
+    margins = np.full((n_seg, n), np.inf)
+    lower = np.full((n_seg, n), np.nan)
+    for j, seg in enumerate(schedule.segments):
+        t = np.flatnonzero(mask[j])
+        margins[j, t] = segment_margin(seg, rho_psi[t, seg.psi_index], t)
+        lower[j, t] = -seg.gamma_table[t - seg.t_begin] + seg.params.rho_max
+    steps = np.arange(n)
+    any_active = mask.any(axis=0)
+    first = mask.argmax(axis=0)
+    best = margins.argmin(axis=0)
+    # Inactive entries hold +inf: when every active margin is +inf too, the
+    # tie goes to the first active segment, not to an inactive one.
+    best = np.where(mask[best, steps], best, first)
+    margin = np.where(any_active, margins[best, steps], np.nan)
+    gamma_lower = lower[best, steps]
+    if spec.mode == MODE_ABLATION:
+        psi_index = np.array([seg.psi_index for seg in schedule.segments])
+        rewards = np.where(any_active, rho_psi[steps, psi_index[first]], 0.0)
+    else:
+        rewards = np.where(any_active, margin, 0.0)
+    return rewards, margin, gamma_lower

@@ -182,10 +182,6 @@ class TemporalConjunct:
     body: Formula
     node: Formula
 
-    @property
-    def obligation(self) -> Interval:
-        return self.footprint
-
 
 def _flatten_and(f: Formula) -> list[Formula]:
     if isinstance(f, And):

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stlfunnel.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from stlfunnel.config import ConfigError, apply_overrides, build_run, load_config
+from stlfunnel.dqn import load_checkpoint
+from stlfunnel.evalmon import check_satisfaction, export_csv, read_trajectory_csv, rollout
 
 BASE_CONFIG = {
     "environment": {
@@ -27,6 +31,9 @@ OVERLAP_SPEC = {
     "rho_bounds": {"0": [-3.0, 3.0], "1": [-3.0, 3.0]},
     "t_star": {"0": 3},
 }
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, out_name="out", **changes):
@@ -239,3 +246,28 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text("[1,2]")
     with pytest.raises(ConfigError, match="object"):
         load_config(path)
+
+
+# shipped configs ----------------------------------------------------------------
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs_end_to_end(path, tmp_path):
+    ctx = build_run(load_config(path))
+    out = tmp_path / "out"
+    common = ["--config", str(path), "--out", str(out)]
+    assert main(["funnel", *common]) == EXIT_OK
+    assert (out / "schedule.json").exists()
+    assert main(["train", *common, "--set", "training.total_steps=300",
+                 "--set", "training.eval_freq=150",
+                 "--set", "training.eval_episodes=1"]) == EXIT_OK
+    log_lines = (out / "training_log.csv").read_text().splitlines()
+    assert len(log_lines) == 4  # header, evals at 0 and 150, the final policy
+
+    agent = load_checkpoint(out / "checkpoint.json", expected_n_actions=ctx.env.n_actions)
+    traj = rollout(agent, ctx.env, ctx.reward_spec, seed=[0, 1], phi=ctx.phi)
+    export_csv(traj, out / "traj.csv")
+    back = read_trajectory_csv(out / "traj.csv", list(ctx.env.schema))
+    for name in ("states", "actions", "rewards", "rho_psi", "gamma_lower", "margin",
+                 "satisfied_so_far"):
+        assert np.array_equal(getattr(traj, name), getattr(back, name), equal_nan=True), name
+    assert check_satisfaction(ctx.phi, back) == check_satisfaction(ctx.phi, traj)

@@ -1,14 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stlfunnel.dqn import TrainConfig, train
-from stlfunnel.envs import EnvConfig, make_env
+from stlfunnel.config import build_run, load_config
+from stlfunnel.dqn import NeuralAgent, TrainConfig, epsilon_greedy, train
+from stlfunnel.envs import EnvConfig, IntegratorEnv, make_env
 from stlfunnel.evalmon import (
     Trajectory, check_satisfaction, export_csv, export_funnel_csv,
     fill_prefix_satisfaction, read_trajectory_csv, rollout,
 )
 from stlfunnel.funnel import build_schedule, gamma_eval
-from stlfunnel.reward import MODE_FUNNEL, RewardSpec, reward
+from stlfunnel.reward import (
+    MODE_ABLATION, MODE_FUNNEL, RewardSpec, per_psi_robustness, reward,
+)
 from stlfunnel.robustness import RhoBounds, rho_pointwise
 from stlfunnel.stl.formula import temporal_conjuncts
 from stlfunnel.stl.parser import parse_formula
@@ -104,6 +110,185 @@ def test_rollout_horizon_mismatch_rejected():
     agent = _ConstantAgent(0, other.n_actions)
     with pytest.raises(ValueError, match="horizon"):
         rollout(agent, other, spec, seed=0)
+
+
+# Rollout against the per-step reference --------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+COLUMNS = ("states", "actions", "rewards", "rho_psi", "gamma_lower", "margin",
+           "satisfied_so_far")
+
+
+def reference_active(schedule, t):
+    """Segments active at step t, by the rule FunnelSchedule.active_segments states."""
+    if schedule.overlapping:
+        return [seg for seg in schedule.segments if seg.t_begin <= t <= seg.t_end]
+    return [next(seg for seg in schedule.segments if t <= seg.t_end)]
+
+
+def reference_rollout(agent, env, spec, seed=0, greedy=True, epsilon=0.0, phi=None):
+    """Step-by-step reference for rollout(): the reward, the robustness and the
+    funnel margin are evaluated at every step from the scalar functions."""
+    horizon = env.horizon
+    rng = np.random.default_rng(seed)
+    n_psi = len(spec.psis)
+    states = np.empty((horizon + 1, len(env.schema)))
+    actions = np.full(horizon + 1, -1, dtype=np.int64)
+    rewards = np.empty(horizon + 1)
+    rho = np.empty((horizon + 1, n_psi))
+    gamma_lower = np.full(horizon + 1, np.nan)
+    margin = np.full(horizon + 1, np.nan)
+    s = env.reset(rng)
+    for t in range(horizon + 1):
+        if not np.all(np.isfinite(s)):
+            raise RuntimeError(f"non-finite state at step {t}: dynamics diverged")
+        states[t] = s
+        sd = env.state_dict(s)
+        rewards[t] = reward(spec, sd, t)
+        rho[t] = per_psi_robustness(spec, sd)
+        active = reference_active(spec.schedule, t)
+        assert active == spec.schedule.active_segments(t)
+        if active:
+            seg_margins = [rho[t][seg.psi_index] + seg.gamma(t) - seg.params.rho_max
+                           for seg in active]
+            j = int(np.argmin(seg_margins))
+            margin[t] = seg_margins[j]
+            gamma_lower[t] = active[j].lower_bound(t)
+        if t < horizon:
+            q = agent.q_values(s, t)
+            a = int(np.argmax(q)) if greedy else epsilon_greedy(q, epsilon, rng)
+            actions[t] = a
+            s = env.step(s, a)
+    traj = Trajectory(
+        schema=tuple(env.schema), states=states, actions=actions, rewards=rewards,
+        rho_psi=rho, gamma_lower=gamma_lower, margin=margin,
+        satisfied_so_far=np.ones(horizon + 1),
+        metadata={"seed": seed if isinstance(seed, int) else list(seed),
+                  "greedy": greedy, "mode": spec.mode})
+    if phi is not None:
+        fill_prefix_satisfaction(traj, phi)
+    return traj
+
+
+def reference_csv(traj) -> str:
+    """Row-by-row reference for export_csv."""
+    n_psi = traj.rho_psi.shape[1]
+    header = ["t", *traj.schema, "action", "reward",
+              *[f"rho_psi_{i}" for i in range(n_psi)],
+              "gamma_lower", "margin", "satisfied_so_far"]
+    lines = [",".join(header)]
+    for t in range(traj.horizon + 1):
+        row = [str(t)]
+        row += ["%.17g" % v for v in traj.states[t]]
+        row.append(str(int(traj.actions[t])))
+        row.append("%.17g" % traj.rewards[t])
+        row += ["%.17g" % v for v in traj.rho_psi[t]]
+        row.append("%.17g" % traj.gamma_lower[t])
+        row.append("%.17g" % traj.margin[t])
+        row.append(str(int(traj.satisfied_so_far[t])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _gapped_problem(mode):
+    """Overlapping F conjuncts that leave steps 0-1 and 7-10 uncovered, with
+    uniform resets so that some episodes miss an obligation."""
+    env = make_env(EnvConfig(kind="integrator", tau=0.5, horizon=10,
+                             reset_kind="uniform", reset_low=(-1.0,), reset_high=(4.0,)))
+    phi = parse_formula("F[2,4](x >= 1) & F[3,6](x <= 3)", ["x"])
+    sched = build_schedule(phi, [RhoBounds(-3.0, 3.0)] * 2, 10)
+    spec = RewardSpec(schedule=sched, psis=tuple(c.body for c in temporal_conjuncts(phi)),
+                      mode=mode)
+    return env, spec, phi, None
+
+
+def _infinite_margin_problem():
+    """The G conjunct's robustness is +inf at every state, so from step 4 on
+    the only active margin is +inf; the segment that precedes it in the
+    schedule is inactive there and must not be taken on the tie."""
+    env = make_env(EnvConfig(kind="integrator", tau=0.5, horizon=10, reset_fixed=(0.0,)))
+    phi = parse_formula("F[0,3](x >= 1) & G[2,10](x >= 1 | True)", ["x"])
+    sched = build_schedule(phi, [RhoBounds(-3.0, 3.0)] * 2, 10, t_star_overrides={1: 2})
+    spec = RewardSpec(schedule=sched, psis=tuple(c.body for c in temporal_conjuncts(phi)))
+    return env, spec, phi, None
+
+
+def _config_problem(name):
+    ctx = build_run(load_config(CONFIG_DIR / f"{name}.json"))
+    return ctx.env, ctx.reward_spec, ctx.phi, ctx.train_cfg.state_scale
+
+
+ROLLOUT_PROBLEMS = {
+    "sequential": lambda: _config_problem("diffdrive_sequential"),
+    "sequential-pendulum": lambda: _config_problem("pendulum_three_phase"),
+    "overlapping": lambda: _config_problem("overlap_demo"),
+    "ablation": lambda: _config_problem("diffdrive_ablation"),
+    "overlapping-gaps": lambda: _gapped_problem(MODE_FUNNEL),
+    "ablation-gaps": lambda: _gapped_problem(MODE_ABLATION),
+    "overlapping-infinite-margin": _infinite_margin_problem,
+}
+
+
+def _untrained_agent(env, state_scale, seed=4):
+    return NeuralAgent(len(env.schema), env.n_actions, (32, 32), env.horizon, 1e-3,
+                       np.random.default_rng(seed), state_scale=state_scale)
+
+
+@pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "eps-greedy"])
+@pytest.mark.parametrize("problem", sorted(ROLLOUT_PROBLEMS))
+def test_rollout_equals_per_step_reference(problem, greedy):
+    env, spec, phi, scale = ROLLOUT_PROBLEMS[problem]()
+    agent = _untrained_agent(env, scale)
+    for seed in (0, [3, 1]):
+        kwargs = dict(seed=seed, greedy=greedy, epsilon=0.0 if greedy else 0.3, phi=phi)
+        got = rollout(agent, env, spec, **kwargs)
+        want = reference_rollout(agent, env, spec, **kwargs)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(got, name), getattr(want, name),
+                                  equal_nan=True), name
+        assert got.schema == want.schema
+        assert got.metadata == want.metadata
+
+
+@pytest.mark.parametrize("problem", sorted(ROLLOUT_PROBLEMS))
+def test_export_csv_bytes_equal_per_row_reference(problem, tmp_path):
+    env, spec, phi, scale = ROLLOUT_PROBLEMS[problem]()
+    traj = rollout(_untrained_agent(env, scale), env, spec, seed=2, phi=phi)
+    path, meta = tmp_path / "traj.csv", tmp_path / "traj.meta.json"
+    export_csv(traj, path, metadata_path=meta)
+    assert path.read_bytes() == reference_csv(traj).encode()
+    assert json.loads(meta.read_text()) == traj.metadata
+
+
+def test_export_csv_writes_nan_columns_and_missed_obligations(tmp_path):
+    env, spec, phi, _ = _gapped_problem(MODE_FUNNEL)
+    # Drive x down from its reset so the F[2,4](x >= 1) obligation is missed.
+    agent = _ConstantAgent(env.grid.index_of((-3.0,)), env.n_actions)
+    traj = rollout(agent, env, spec, seed=0, phi=phi)
+    assert np.isnan(traj.margin[[0, 1, 7, 10]]).all()
+    assert traj.satisfied_so_far[-1] == 0.0
+    path = tmp_path / "traj.csv"
+    export_csv(traj, path)
+    assert path.read_text() == reference_csv(traj)
+
+
+class _DivergingIntegrator(IntegratorEnv):
+    """Integrator whose state turns infinite once x exceeds 2."""
+
+    def step(self, state, action_index):
+        nxt = super().step(state, action_index)
+        return np.array([np.inf]) if nxt[0] > 2.0 else nxt
+
+
+def test_rollout_raises_at_first_non_finite_step():
+    env = _DivergingIntegrator(EnvConfig(kind="integrator", tau=0.5, horizon=8,
+                                         reset_fixed=(0.0,)))
+    _, _, spec = integrator_problem()
+    agent = _ConstantAgent(env.grid.index_of((3.0,)), env.n_actions)
+    # x = 0, 1.5, then 3.0 > 2 turns into inf at step 2.
+    for run in (rollout, reference_rollout):
+        with pytest.raises(RuntimeError, match="non-finite state at step 2"):
+            run(agent, env, spec, seed=0)
 
 
 # Satisfaction -----------------------------------------------------------------

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stlfunnel
 from stlfunnel import backend
 from stlfunnel._kernels_py import adam_step as adam_step_py
 from stlfunnel._kernels_py import forward_single as forward_single_py
@@ -133,9 +135,13 @@ def test_compiled_and_pure_adam_agree():
 def test_pure_python_env_var_forces_fallback():
     code = ("import stlfunnel.backend as b; "
             "raise SystemExit(0 if not b.COMPILED else 1)")
+    # The child sees only this environment, so it is told where the package
+    # under test lives (it need not be installed).
+    package_root = str(Path(stlfunnel.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "STLFUNNEL_PURE_PYTHON": "1"},
+        env={"PATH": "/usr/bin:/bin", "STLFUNNEL_PURE_PYTHON": "1",
+             "PYTHONPATH": package_root},
         capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
 
