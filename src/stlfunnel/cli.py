@@ -5,7 +5,7 @@ time-aware Q-learning), eval (greedy evaluation episodes + trajectory CSVs),
 monitor (offline satisfaction check of a trajectory CSV). Every command takes
 --config, optional --seed/--out, and repeatable --set dot.path=value
 overrides. Exit codes: 0 success, 2 config error, 3 runtime divergence,
-4 I/O error.
+4 I/O error or a trajectory that cannot be monitored.
 """
 
 from __future__ import annotations
@@ -205,6 +205,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except evalmon.TrajectoryError as exc:
+        print(f"trajectory error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -2,8 +2,8 @@
 
 A trajectory holds horizon+1 states and horizon actions (the final row has
 action -1). Satisfaction is decided by the sign of the trace robustness at
-step 0, with zero counting as satisfied; the report also carries the scalar
-min-over-obligation-steps robustness used for summary statistics.
+step 0, with zero counting as satisfied; the report also carries the
+obligation minimum used for summary statistics, which equals that robustness.
 """
 
 from __future__ import annotations
@@ -24,11 +24,15 @@ from .robustness import rho_trace
 from .stl.formula import Formula, FragmentError, formula_horizon, temporal_conjuncts
 
 __all__ = [
-    "Trajectory", "SatisfactionReport", "rollout", "check_satisfaction",
+    "Trajectory", "TrajectoryError", "SatisfactionReport", "rollout", "check_satisfaction",
     "export_csv", "export_funnel_csv", "read_trajectory_csv",
 ]
 
 _FMT = "%.17g"
+
+
+class TrajectoryError(ValueError):
+    """A trajectory cannot be monitored: malformed CSV or too short for the formula."""
 
 
 @dataclass
@@ -46,9 +50,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.states) - 1
-
-    def state_dicts(self) -> list[dict[str, float]]:
-        return [dict(zip(self.schema, row)) for row in self.states]
 
 
 @dataclass(frozen=True)
@@ -128,30 +129,20 @@ def rollout(agent, env: Environment, spec: RewardSpec, seed=0,
 
 
 def check_satisfaction(phi: Formula, traj: Trajectory) -> SatisfactionReport:
-    """Boolean and quantitative verdict of phi on a trajectory (evaluated at 0)."""
+    """Boolean and quantitative verdict of phi on a trajectory (evaluated at 0).
+
+    obligation_min is the minimum over the top-level conjuncts' robustness.
+    A top-level And is that minimum by definition, and a formula that is no
+    conjunction of temporal operators is its own single obligation, so it is
+    the trace robustness itself: one evaluation serves both fields.
+    """
     need = formula_horizon(phi)
     if need > traj.horizon:
-        raise ValueError(
+        raise TrajectoryError(
             f"trajectory horizon {traj.horizon} shorter than formula horizon {need}")
-    trace = traj.state_dicts()
-    rho = rho_trace(phi, trace, 0)
-    obligation_min = _obligation_scalar(phi, trace, rho)
-    return SatisfactionReport(satisfied=rho >= 0, robustness=rho,
-                              obligation_min=obligation_min)
-
-
-def _obligation_scalar(phi: Formula, trace, fallback: float) -> float:
-    """Min over obligation windows of each conjunct's operator value; for the
-    supported fragment this equals the trace robustness, computed here
-    independently from the per-conjunct windows."""
-    try:
-        conjuncts = temporal_conjuncts(phi)
-    except FragmentError:
-        return fallback
-    vals = []
-    for c in conjuncts:
-        vals.append(rho_trace(c.node, trace, 0))
-    return min(vals)
+    columns = {name: traj.states[:, j] for j, name in enumerate(traj.schema)}
+    rho = rho_trace(phi, columns, 0)
+    return SatisfactionReport(satisfied=rho >= 0, robustness=rho, obligation_min=rho)
 
 
 def fill_prefix_satisfaction(traj: Trajectory, phi: Formula):
@@ -180,26 +171,46 @@ def export_csv(traj: Trajectory, path, metadata_path=None):
 
 
 def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
-    """Load a trajectory CSV; only t and the state columns are required."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    for col in ("t", *schema):
-        if col not in header:
-            raise ValueError(f"trajectory CSV is missing column {col!r}")
+    """Load a trajectory CSV; only t and the state columns are required.
+
+    Raises TrajectoryError for a file that does not decode as text, a missing
+    column, a row whose field count differs from the header's, a cell that is
+    not a number, or a NaN or infinite state cell.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise TrajectoryError(f"trajectory CSV is not text: {exc}") from None
+    for name in ("t", *schema):
+        if name not in header:
+            raise TrajectoryError(f"trajectory CSV is missing column {name!r}")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise TrajectoryError(
+                f"trajectory CSV data row {i + 1} has {len(row)} fields, "
+                f"the header has {len(header)}")
     idx = {name: header.index(name) for name in header}
     n = len(rows)
-    states = np.empty((n, len(schema)))
-    for i, row in enumerate(rows):
-        for j, name in enumerate(schema):
-            states[i, j] = float(row[idx[name]])
-    n_psi = sum(1 for h in header if h.startswith("rho_psi_"))
 
     def col(name, default=np.nan, dtype=float):
-        if name in idx:
-            return np.array([dtype(r[idx[name]]) for r in rows])
-        return np.full(n, default)
+        if name not in idx:
+            return np.full(n, default)
+        j = idx[name]
+        try:
+            return np.array([dtype(r[j]) for r in rows])
+        except ValueError as exc:
+            raise TrajectoryError(f"trajectory CSV column {name!r}: {exc}") from None
 
+    states = np.column_stack([col(name) for name in schema])
+    bad = np.argwhere(~np.isfinite(states))
+    if len(bad):
+        i, j = bad[0]
+        raise TrajectoryError(
+            f"trajectory CSV has non-finite {schema[j]!r} value "
+            f"{rows[i][idx[schema[j]]]!r} at data row {i + 1}")
+    n_psi = sum(1 for h in header if h.startswith("rho_psi_"))
     rho = np.full((n, max(n_psi, 1)), np.nan)
     for i in range(n_psi):
         rho[:, i] = col(f"rho_psi_{i}")

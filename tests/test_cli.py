@@ -198,6 +198,26 @@ def test_missing_trajectory_is_io_error(tmp_path, capsys):
     assert "I/O error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("csv_bytes, message", [
+    (b"t,x\n0,1.0\n1,1.0\n", "trajectory horizon 1 shorter than formula horizon 8"),
+    (b"t,y\n0,1.0\n", "missing column 'x'"),
+    (b"t,x\n0,1.0\n1,abc\n", "could not convert string to float: 'abc'"),
+    (b"t,x\n0,1.0\n1,nan\n", "non-finite 'x' value 'nan' at data row 2"),
+    (b"t,x\n0,inf\n", "non-finite 'x' value 'inf' at data row 1"),
+    (b"t,x\n0,1.0\n1\n", "data row 2 has 1 fields"),
+    (b"t,x\n0,\xff\n", "not text"),
+], ids=["too-short", "missing-column", "non-numeric", "nan", "inf", "ragged-row", "not-text"])
+def test_bad_trajectory_is_one_line_error(tmp_path, capsys, csv_bytes, message):
+    cfg, _ = write_config(tmp_path)
+    traj = tmp_path / "bad.csv"
+    traj.write_bytes(csv_bytes)
+    assert main(["monitor", "--config", str(cfg), "--trajectory", str(traj)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("trajectory error: ")
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
 # config module ----------------------------------------------------------------
 
 def test_apply_overrides_nesting_and_json_scalars():

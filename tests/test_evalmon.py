@@ -7,8 +7,9 @@ import pytest
 from stlfunnel.config import build_run, load_config
 from stlfunnel.dqn import NeuralAgent, TrainConfig, epsilon_greedy, train
 from stlfunnel.envs import EnvConfig, IntegratorEnv, make_env
+from stlfunnel import evalmon
 from stlfunnel.evalmon import (
-    Trajectory, check_satisfaction, export_csv, export_funnel_csv,
+    Trajectory, TrajectoryError, check_satisfaction, export_csv, export_funnel_csv,
     fill_prefix_satisfaction, read_trajectory_csv, rollout,
 )
 from stlfunnel.funnel import build_schedule, gamma_eval
@@ -328,12 +329,32 @@ def test_check_satisfaction_conjunction_obligation_min():
     assert rep.robustness == pytest.approx(1.0)
 
 
+def test_check_satisfaction_evaluates_once(monkeypatch):
+    phi = parse_formula("F[0,2](x >= 1) & G[3,4](x <= 3)", ["x"])
+    sched = build_schedule(phi, [RhoBounds(-3.0, 3.0)] * 2, 4)
+    spec = RewardSpec(schedule=sched,
+                      psis=tuple(c.body for c in temporal_conjuncts(phi)),
+                      mode=MODE_FUNNEL)
+    traj = synthetic_trajectory([0.0, 2.5, 0.0, 1.0, 2.0], phi, spec)
+    calls = []
+    real = evalmon.rho_trace
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evalmon, "rho_trace", counting)
+    rep = check_satisfaction(phi, traj)
+    assert calls == [phi]
+    assert rep.obligation_min == rep.robustness == 1.0
+
+
 def test_check_satisfaction_short_trajectory_rejected():
     env, phi, spec = integrator_problem()
     agent = _ConstantAgent(0, env.n_actions)
     traj = rollout(agent, env, spec, seed=0)
     long_phi = parse_formula("G[0,20](x >= 0)", ["x"])
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(TrajectoryError, match="horizon"):
         check_satisfaction(long_phi, traj)
 
 
@@ -390,7 +411,7 @@ def test_trajectory_csv_header(tmp_path):
 def test_read_trajectory_requires_state_columns(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("t,y\n0,1.0\n")
-    with pytest.raises(ValueError, match="missing column"):
+    with pytest.raises(TrajectoryError, match="missing column"):
         read_trajectory_csv(path, ["x"])
 
 

@@ -1,8 +1,12 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stlfunnel.config import build_run, load_config
 from stlfunnel.funnel import build_schedule, gamma_eval
 from stlfunnel.reward import (
     MODE_ABLATION, MODE_FUNNEL, NoActiveSegmentError, RewardSpec, reward,
@@ -183,3 +187,33 @@ def test_overlap_consistency_many_segments():
             per_seg = [float(rho_pointwise(spec.psis[a.psi_index], s))
                        + gamma_eval(a, t) - a.params.rho_max for a in active]
             assert math.isclose(reward(spec, s, t), min(per_seg), rel_tol=1e-12)
+
+
+# Why acceptance criterion 6 fails: with sequential windows exactly one segment
+# is active at each step, so the funnel reward is the ablation reward plus
+# gamma(t) - rho_max, an offset no action can change.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module", params=["diffdrive_sequential", "pendulum_three_phase"])
+def sequential_run(request):
+    return build_run(load_config(CONFIGS / f"{request.param}.json"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sequential_funnel_minus_ablation_depends_on_t_only(sequential_run, data):
+    funnel = sequential_run.reward_spec
+    ablation = dataclasses.replace(funnel, mode=MODE_ABLATION)
+    assert not funnel.schedule.overlapping
+    t = data.draw(st.integers(0, funnel.horizon), label="t")
+    active = funnel.schedule.active_segments(t)
+    assert len(active) <= 1
+    offset = active[0].gamma(t) - active[0].params.rho_max if active else 0.0
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+    for _ in range(3):
+        s = {name: data.draw(coord, label=name) for name in sequential_run.env.schema}
+        f, a = reward(funnel, s, t), reward(ablation, s, t)
+        scale = max(1.0, abs(f), abs(a), abs(offset))
+        assert math.isclose(f - a, offset, rel_tol=0.0, abs_tol=1e-12 * scale)

@@ -1,14 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stlfunnel.robustness import (
     RhoBounds, TemporalInPointwiseError, estimate_rho_bounds, rho_pointwise, rho_trace,
 )
 from stlfunnel.stl.expr import Abs, Const, Norm2, Sub, Var
 from stlfunnel.stl.formula import (
-    FG, And, Atom, F, Formula, G, Interval, Not, Or, TrueFormula,
+    FG, And, Atom, F, Formula, G, Interval, Not, Or, TrueFormula, formula_horizon,
 )
 from stlfunnel.stl.parser import parse_formula
 
@@ -18,33 +20,47 @@ SCHEMA = ["theta", "omega", "x", "y"]
 # Independent oracles: written directly from the semantics definitions and
 # deliberately separate from the module implementation.
 
-def oracle_rho(phi, trace, t):
+def oracle_rho(phi, trace, t, memo=None):
+    """Robustness of phi at step t by the recursive definition.
+
+    memo, when given, is a dict shared by calls on one trace; it caches each
+    (node, step) value so that nested windows cost their sum, not their product.
+    """
+    if memo is not None:
+        key = (id(phi), t)
+        if key not in memo:
+            memo[key] = _oracle_rho(phi, trace, t, memo)
+        return memo[key]
+    return _oracle_rho(phi, trace, t, memo)
+
+
+def _oracle_rho(phi, trace, t, memo):
     if isinstance(phi, TrueFormula):
         return math.inf
     if isinstance(phi, Atom):
         return float(phi.h.eval(trace[t]))
     if isinstance(phi, Not):
-        return -oracle_rho(phi.arg, trace, t)
+        return -oracle_rho(phi.arg, trace, t, memo)
     if isinstance(phi, And):
-        return min(oracle_rho(phi.left, trace, t), oracle_rho(phi.right, trace, t))
+        return min(oracle_rho(phi.left, trace, t, memo), oracle_rho(phi.right, trace, t, memo))
     if isinstance(phi, Or):
-        return max(oracle_rho(phi.left, trace, t), oracle_rho(phi.right, trace, t))
+        return max(oracle_rho(phi.left, trace, t, memo), oracle_rho(phi.right, trace, t, memo))
     if isinstance(phi, F):
         best = -math.inf
         for u in range(t + phi.interval.lo, t + phi.interval.hi + 1):
-            best = max(best, oracle_rho(phi.body, trace, u))
+            best = max(best, oracle_rho(phi.body, trace, u, memo))
         return best
     if isinstance(phi, G):
         worst = math.inf
         for u in range(t + phi.interval.lo, t + phi.interval.hi + 1):
-            worst = min(worst, oracle_rho(phi.body, trace, u))
+            worst = min(worst, oracle_rho(phi.body, trace, u, memo))
         return worst
     if isinstance(phi, FG):
         best = -math.inf
         for u in range(t + phi.a, t + phi.c1 + 1):
             worst = math.inf
             for v in range(u + phi.c2, u + phi.b + 1):
-                worst = min(worst, oracle_rho(phi.body, trace, v))
+                worst = min(worst, oracle_rho(phi.body, trace, v, memo))
             best = max(best, worst)
         return best
     raise TypeError(type(phi))
@@ -170,7 +186,6 @@ def test_oracle_equivalence_small():
     rng = np.random.default_rng(7)
     for _ in range(200):
         phi = random_formula(rng, int(rng.integers(1, 5)))
-        from stlfunnel.stl.formula import formula_horizon
         trace = random_trace(rng, formula_horizon(phi) + int(rng.integers(1, 10)))
         got = rho_trace(phi, trace, 0)
         want = oracle_rho(phi, trace, 0)
@@ -183,9 +198,82 @@ def test_negation_duality():
     rng = np.random.default_rng(11)
     for _ in range(100):
         phi = random_formula(rng, 3)
-        from stlfunnel.stl.formula import formula_horizon
         trace = random_trace(rng, formula_horizon(phi) + 3)
         assert rho_trace(Not(phi), trace, 0) == -rho_trace(phi, trace, 0)
+
+
+MAX_WINDOW = 40
+
+
+@st.composite
+def formulas(draw, depth):
+    """Nested F/G/FG/Not/And/Or over atoms, windows up to MAX_WINDOW steps."""
+    kind = draw(st.sampled_from(
+        ["atom"] if depth == 0 else ["atom", "true", "not", "and", "or", "F", "G", "FG"]))
+    if kind == "atom":
+        var = draw(st.sampled_from(SCHEMA))
+        # Thresholds on the trace's half-step grid make ties and zero margins.
+        c = draw(st.integers(-4, 4)) / 2
+        return Atom(h=Sub(Var(var), Const(c)))
+    if kind == "true":
+        return TrueFormula()
+    if kind == "not":
+        return Not(draw(formulas(depth - 1)))
+    if kind in ("and", "or"):
+        left, right = draw(formulas(depth - 1)), draw(formulas(depth - 1))
+        return And(left, right) if kind == "and" else Or(left, right)
+    lo = draw(st.integers(0, MAX_WINDOW))
+    hi = draw(st.integers(lo, lo + MAX_WINDOW))
+    body = draw(formulas(depth - 1))
+    if kind == "F":
+        return F(Interval(lo, hi), body)
+    if kind == "G":
+        return G(Interval(lo, hi), body)
+    c2 = draw(st.integers(0, MAX_WINDOW))
+    b = draw(st.integers(c2, c2 + MAX_WINDOW))
+    return FG(a=lo, c1=hi, c2=c2, b=b, body=body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=formulas(3), extra=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+       quantized=st.booleans())
+def test_array_evaluator_equals_recursion_at_every_step(phi, extra, seed, quantized):
+    rng = np.random.default_rng(seed)
+    n = formula_horizon(phi) + 1 + extra
+    values = rng.integers(-6, 7, size=(n, len(SCHEMA))) / 2 if quantized \
+        else rng.uniform(-3, 3, size=(n, len(SCHEMA)))
+    trace = [dict(zip(SCHEMA, row.tolist())) for row in values]
+    columns = {name: values[:, j] for j, name in enumerate(SCHEMA)}
+    memo = {}
+    for t in range(extra + 1):
+        want = oracle_rho(phi, trace, t, memo)
+        assert rho_trace(phi, trace, t) == want
+        assert rho_trace(phi, columns, t) == want
+    with pytest.raises(ValueError, match="too short"):
+        rho_trace(phi, columns, extra + 1)
+
+
+def test_wide_fg_window_is_fast():
+    phi = parse_formula("F[0,1000]G[0,1000](abs(x - 0.5) <= 3)", ["x"])
+    x = np.cumsum(np.random.default_rng(3).normal(size=2001))
+    start = time.perf_counter()
+    got = rho_trace(phi, [{"x": v} for v in x.tolist()], 0)
+    elapsed = time.perf_counter() - start
+    margin = 3.0 - np.abs(x - 0.5)
+    assert got == max(margin[u:u + 1001].min() for u in range(1001))
+    assert elapsed < 1.0
+
+
+def test_column_trace_lengths_must_agree():
+    phi = G(Interval(0, 1), Atom(h=Var("x")))
+    with pytest.raises(ValueError, match="one common length"):
+        rho_trace(phi, {"x": np.zeros(3), "y": np.zeros(4)}, 0)
+
+
+def test_negative_evaluation_step_rejected():
+    phi = G(Interval(0, 1), Atom(h=Var("x")))
+    with pytest.raises(ValueError, match="nonnegative"):
+        rho_trace(phi, _ramp_trace([1, 2, 3]), -1)
 
 
 # Bound estimation -------------------------------------------------------------
