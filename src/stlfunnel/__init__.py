@@ -8,6 +8,9 @@ from .funnel import FunnelParams, FunnelSchedule, FunnelSegment, build_schedule,
 from .reward import RewardSpec, reward, reward_sign_check
 from .envs import EnvConfig, make_env
 from .dqn import TrainConfig, train
-from .backend import COMPILED as KERNELS_COMPILED
 
 __version__ = "0.1.0"
+
+# The network runs on numpy alone; no compiled kernels exist. Kept because the
+# benchmark records it as a run fact.
+KERNELS_COMPILED = False

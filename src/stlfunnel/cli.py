@@ -5,7 +5,8 @@ time-aware Q-learning), eval (greedy evaluation episodes + trajectory CSVs),
 monitor (offline satisfaction check of a trajectory CSV). Every command takes
 --config, optional --seed/--out, and repeatable --set dot.path=value
 overrides. Exit codes: 0 success, 2 config error, 3 runtime divergence,
-4 I/O error or a trajectory that cannot be monitored.
+4 I/O error, a trajectory that cannot be monitored or a checkpoint that
+cannot be loaded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import evalmon
 from .config import ConfigError, apply_overrides, build_run, load_config
-from .dqn import TrainingDiverged, load_checkpoint, save_checkpoint, train
+from .dqn import CheckpointError, TrainingDiverged, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -208,6 +209,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except evalmon.TrajectoryError as exc:
         print(f"trajectory error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -161,15 +161,11 @@ def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> i
     return int(np.argmax(q))
 
 
-def time_feature(t, horizon: int):
-    return np.asarray(t, dtype=np.float64) / horizon
-
-
 class NeuralAgent:
     """MLP Q-function with target network and adaptive-moment updates."""
 
     def __init__(self, state_dim: int, n_actions: int, hidden_sizes, horizon: int,
-                 lr: float, rng: np.random.Generator,
+                 lr: float, rng: np.random.Generator | None,
                  state_scale: tuple[float, ...] | None = None):
         sizes = [state_dim + 1, *hidden_sizes, n_actions]
         self.net = MLP(sizes, rng)
@@ -187,6 +183,7 @@ class NeuralAgent:
         else:
             self.state_scale = None
         self._x = np.empty(state_dim + 1)
+        self._xb: np.ndarray | None = None  # batch input, sized by the first batch
 
     def _input_single(self, s, t) -> np.ndarray:
         """Network input for one state, written into a buffer reused by every call."""
@@ -195,16 +192,24 @@ class NeuralAgent:
             np.divide(s, self.state_scale, out=x[:-1])
         else:
             x[:-1] = s
-        # Same value as time_feature: both divisions are correctly rounded.
+        # The time feature t/horizon: a correctly rounded float64 division, so
+        # it equals the one _input_batch computes for the same t.
         x[-1] = t / self.horizon
         return x
 
     def _input_batch(self, S, T) -> np.ndarray:
+        """Network input for a batch, written into a buffer reused by every call
+        with the same batch size."""
         S = np.asarray(S, dtype=np.float64)
+        X = self._xb
+        if X is None or X.shape[0] != len(S):
+            X = self._xb = np.empty((len(S), self.state_dim + 1))
         if self.state_scale is not None:
-            S = S / self.state_scale
-        tf = time_feature(T, self.horizon).reshape(-1, 1)
-        return np.hstack([S, tf])
+            np.divide(S, self.state_scale, out=X[:, :-1])
+        else:
+            X[:, :-1] = S
+        np.divide(T, self.horizon, out=X[:, -1])
+        return X
 
     def q_values(self, s, t) -> np.ndarray:
         return self.net.forward_single(self._input_single(s, t))
@@ -224,15 +229,13 @@ class NeuralAgent:
         twin = NeuralAgent.__new__(NeuralAgent)
         twin.net = self.net.copy()
         twin.target_net = self.target_net.copy()
-        twin.optimizer = Adam(twin.net, lr=self.optimizer.lr,
-                              beta1=self.optimizer.beta1,
-                              beta2=self.optimizer.beta2, eps=self.optimizer.eps)
-        twin.optimizer.load_state_dict(self.optimizer.state_dict())
+        twin.optimizer = self.optimizer.copy(twin.net)
         twin.horizon = self.horizon
         twin.state_dim = self.state_dim
         twin.n_actions = self.n_actions
         twin.state_scale = None if self.state_scale is None else self.state_scale.copy()
         twin._x = np.empty_like(self._x)
+        twin._xb = None
         return twin
 
     def update(self, batch: dict, discount: float) -> float:
@@ -246,8 +249,8 @@ class NeuralAgent:
         loss = float(np.mean(err ** 2))
         d_out = np.zeros_like(out)
         d_out[np.arange(m), a] = 2.0 * err / m
-        d_w, d_b = self.net.backward(acts, d_out)
-        self.optimizer.step(d_w, d_b)
+        self.net.backward(acts, d_out)
+        self.optimizer.step(self.net.grad)
         return loss
 
 
@@ -324,7 +327,7 @@ def train(env: Environment, reward_spec: RewardSpec, phi: Formula | None,
 
     phi, when given, is the monitored specification used by the periodic
     greedy evaluations; without it the evaluation columns are NaN. Fully
-    deterministic for a fixed config/seed and kernel backend.
+    deterministic for a fixed config and seed.
     """
     from . import evalmon  # local import: evalmon depends on reward/funnel only
 
@@ -436,36 +439,42 @@ def save_checkpoint(agent: NeuralAgent, path, config_digest: str = "",
 
 def load_checkpoint(path, expected_n_actions: int | None = None,
                     config_digest: str | None = None) -> NeuralAgent:
+    """Agent saved by save_checkpoint. CheckpointError when the file is not a
+    checkpoint of this version, lacks a key, or holds a weight, bias or Adam
+    moment whose shape does not match its layer_sizes."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         version = doc["version"]
-        layer_sizes = doc["layer_sizes"]
-        weights = doc["weights"]
-        biases = doc["biases"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
-    if expected_n_actions is not None and doc["n_actions"] != expected_n_actions:
+    try:
+        layer_sizes, weights, biases, horizon, state_dim, n_actions, opt_state = (
+            doc[key] for key in ("layer_sizes", "weights", "biases", "horizon",
+                                 "state_dim", "n_actions", "optimizer"))
+    except KeyError as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: missing key {exc}") from exc
+    if expected_n_actions is not None and n_actions != expected_n_actions:
         raise CheckpointError(
-            f"checkpoint has {doc['n_actions']} actions, environment expects "
-            f"{expected_n_actions}")
+            f"checkpoint has {n_actions} actions, environment expects {expected_n_actions}")
     if config_digest and doc.get("config_digest") and doc["config_digest"] != config_digest:
         log.warning("checkpoint config digest %s differs from current %s",
                     doc["config_digest"], config_digest)
 
     scale = doc.get("state_scale")
-    agent = NeuralAgent(doc["state_dim"], doc["n_actions"],
-                        layer_sizes[1:-1], doc["horizon"], lr=doc["optimizer"]["lr"],
-                        rng=np.random.default_rng(0),
-                        state_scale=None if scale is None else tuple(scale))
-    for dst, src in zip(agent.net.weights, weights):
-        np.copyto(dst, np.asarray(src, dtype=np.float64))
-    for dst, src in zip(agent.net.biases, biases):
-        np.copyto(dst, np.asarray(src, dtype=np.float64))
+    try:
+        agent = NeuralAgent(state_dim, n_actions, layer_sizes[1:-1], horizon,
+                            lr=opt_state["lr"], rng=None,
+                            state_scale=None if scale is None else tuple(scale))
+        agent.net.load_arrays(agent.net.params, [*weights, *biases])
+        agent.optimizer.load_state_dict(opt_state)
+    except KeyError as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: missing optimizer key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint {path}: {exc}") from exc
     agent.sync_target()
-    agent.optimizer.load_state_dict(doc["optimizer"])
     agent.meta = doc.get("meta", {})
     return agent

@@ -218,6 +218,78 @@ def test_bad_trajectory_is_one_line_error(tmp_path, capsys, csv_bytes, message):
     assert len(err.splitlines()) == 1
 
 
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set_version(doc):
+    doc["version"] = 99
+
+
+def _weight_row_short(doc):
+    doc["weights"][0] = doc["weights"][0][:-1]
+
+
+def _bias_too_long(doc):
+    doc["biases"][1].append(0.0)
+
+
+def _moment_wrong_shape(doc):
+    doc["optimizer"]["v"][1] = [[0.0]]
+
+
+def _layer_missing(doc):
+    doc["weights"].pop()
+
+
+def _moment_missing(doc):
+    del doc["optimizer"]["m"]
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    cfg, out = write_config(tmp)
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    return json.loads((out / "checkpoint.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+@pytest.mark.parametrize("edit, message", [
+    (None, "corrupt checkpoint"),
+    (_set_version, "checkpoint version 99 unsupported"),
+    (_weight_row_short, "weights[0] has shape (15, 2), layer_sizes [2, 16, 13] need (16, 2)"),
+    (_bias_too_long, "biases[1] has shape (14,)"),
+    (_moment_wrong_shape, "Adam moment v: weights[1] has shape (1, 1)"),
+    (_layer_missing, "3 arrays for 4 weights and biases"),
+    (_drop("n_actions"), "missing key 'n_actions'"),
+    (_drop("state_dim"), "missing key 'state_dim'"),
+    (_drop("horizon"), "missing key 'horizon'"),
+    (_drop("optimizer"), "missing key 'optimizer'"),
+    (_moment_missing, "missing optimizer key 'm'"),
+], ids=["invalid-json", "version", "weight-row-short", "bias-too-long", "moment-shape",
+        "layer-missing", "no-n_actions", "no-state_dim", "no-horizon", "no-optimizer",
+        "no-moment"])
+def test_bad_checkpoint_is_one_line_error(tmp_path, capsys, trained_checkpoint,
+                                          command, edit, message):
+    cfg, _ = write_config(tmp_path)
+    ckpt = tmp_path / "bad.json"
+    if edit is None:
+        ckpt.write_text(json.dumps(trained_checkpoint)[:-10])
+    else:
+        doc = json.loads(json.dumps(trained_checkpoint))
+        edit(doc)
+        ckpt.write_text(json.dumps(doc))
+    flag = "--checkpoint" if command == "eval" else "--resume"
+    assert main([command, "--config", str(cfg), flag, str(ckpt)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ")
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
 # config module ----------------------------------------------------------------
 
 def test_apply_overrides_nesting_and_json_scalars():

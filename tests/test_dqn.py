@@ -255,6 +255,55 @@ def test_checkpoint_action_count_mismatch(tmp_path):
         load_checkpoint(path, expected_n_actions=7)
 
 
+def test_agent_parameters_stay_views_through_sync_clone_and_load(tmp_path):
+    env, phi, spec, cfg = tiny_problem(total_steps=200)
+    agent = train(env, spec, phi, cfg).agent
+
+    def check_views(a):
+        for net in (a.net, a.target_net):
+            for arr in net.weights + net.biases:
+                assert np.shares_memory(arr, net.params)
+
+    agent.sync_target()
+    check_views(agent)
+    assert np.array_equal(agent.target_net.params, agent.net.params)
+    assert not np.shares_memory(agent.target_net.params, agent.net.params)
+
+    twin = agent.clone()
+    check_views(twin)
+    pairs = [(twin.net.params, agent.net.params),
+             (twin.target_net.params, agent.target_net.params),
+             (twin.optimizer.m, agent.optimizer.m), (twin.optimizer.v, agent.optimizer.v)]
+    for mine, theirs in pairs:
+        assert np.array_equal(mine, theirs)
+        assert not np.shares_memory(mine, theirs)
+    assert twin.optimizer.net is twin.net
+    assert twin.optimizer.step_count == agent.optimizer.step_count
+    before = [mine.copy() for mine, _ in pairs]
+    batch = {"s": np.zeros((4, 1)), "a": np.array([0, 1, 2, 3]),
+             "r": np.array([0.1, 0.2, 0.3, 0.4]), "s_next": np.ones((4, 1)),
+             "t": np.array([0, 1, 2, 3]), "terminal": np.array([False] * 4)}
+    agent.update(batch, 0.9)
+    agent.sync_target()
+    for (mine, theirs), old in zip(pairs, before):
+        assert np.array_equal(mine, old)
+        assert not np.array_equal(theirs, old)
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(agent, path)
+    loaded = load_checkpoint(path)
+    check_views(loaded)
+    assert np.array_equal(loaded.net.params, agent.net.params)
+    assert np.array_equal(loaded.target_net.params, agent.net.params)
+    assert np.array_equal(loaded.optimizer.m, agent.optimizer.m)
+    assert np.array_equal(loaded.optimizer.v, agent.optimizer.v)
+    # Only a network that trains holds gradient and optimizer scratch space.
+    for idle in (agent.target_net, twin.net, twin.target_net, loaded.net, loaded.target_net):
+        assert idle.grad is None
+    assert agent.net.grad is not None
+    assert twin.optimizer._scratch is None and loaded.optimizer._scratch is None
+
+
 def test_checkpoint_digest_mismatch_warns_only(tmp_path, caplog):
     env, phi, spec, cfg = tiny_problem(total_steps=10)
     result = train(env, spec, phi, cfg)
