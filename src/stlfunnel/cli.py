@@ -58,6 +58,13 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _load_agent(path, ctx, digest):
+    """Checkpointed agent, checked against the environment of this run."""
+    return load_checkpoint(path, expected_n_actions=ctx.env.n_actions, config_digest=digest,
+                           expected_horizon=ctx.env.horizon,
+                           expected_state_dim=len(ctx.env.schema))
+
+
 def cmd_funnel(args) -> int:
     _, ctx = _load(args)
     out = ctx.output_dir
@@ -78,14 +85,13 @@ def cmd_train(args) -> int:
     agent = None
     start_step = 0
     if args.resume:
-        agent = load_checkpoint(args.resume, expected_n_actions=ctx.env.n_actions,
-                                config_digest=digest)
+        agent = _load_agent(args.resume, ctx, digest)
         start_step = int(agent.meta.get("steps_done", 0))
     result = train(ctx.env, ctx.reward_spec, ctx.phi, ctx.train_cfg,
                    agent=agent, start_step=start_step)
     steps_done = start_step + ctx.train_cfg.total_steps
     final_agent = result.best_agent if result.best_agent is not None else result.agent
-    save_checkpoint(final_agent, os.path.join(out, "checkpoint.json"),
+    save_checkpoint(final_agent, os.path.join(out, "checkpoint.npz"),
                     config_digest=digest,
                     meta={"steps_done": steps_done, "spec": ctx.spec_text,
                           "reward_mode": ctx.reward_spec.mode})
@@ -112,7 +118,7 @@ def cmd_eval(args) -> int:
     out = ctx.output_dir
     if args.episodes <= 0:
         raise ConfigError(f"--episodes must be positive, got {args.episodes}")
-    agent = load_checkpoint(args.checkpoint, expected_n_actions=ctx.env.n_actions)
+    agent = _load_agent(args.checkpoint, ctx, ctx.train_cfg.digest())
     seed = ctx.train_cfg.seed
     episodes = []
     for ep in range(args.episodes):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import zipfile
 from dataclasses import dataclass, field, asdict
 from typing import Callable
 
@@ -24,14 +26,14 @@ from .reward import RewardSpec, reward
 from .stl.formula import Formula
 
 __all__ = [
-    "Transition", "ReplayBuffer", "TrainConfig", "NeuralAgent", "TabularAgent",
+    "ReplayBuffer", "TrainConfig", "NeuralAgent", "TabularAgent",
     "epsilon_greedy", "epsilon_at", "td_target", "train", "TrainingDiverged",
     "save_checkpoint", "load_checkpoint", "CheckpointError", "TrainLogRow",
 ]
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -40,16 +42,6 @@ class TrainingDiverged(RuntimeError):
 
 class CheckpointError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    t: int
-    terminal: bool
 
 
 class ReplayBuffer:
@@ -418,63 +410,101 @@ def train(env: Environment, reward_spec: RewardSpec, phi: Formula | None,
 
 # Checkpointing ---------------------------------------------------------------
 
+_ARRAYS = ("params", "adam_m", "adam_v")
+_HEADER_KEYS = ("layer_sizes", "horizon", "state_dim", "n_actions", "state_scale",
+                "optimizer", "config_digest", "meta")
+
+
 def save_checkpoint(agent: NeuralAgent, path, config_digest: str = "",
                     meta: dict | None = None):
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "config_digest": config_digest,
-        "layer_sizes": agent.net.layer_sizes,
-        "horizon": agent.horizon,
-        "state_dim": agent.state_dim,
-        "n_actions": agent.n_actions,
-        "state_scale": None if agent.state_scale is None else agent.state_scale.tolist(),
-        "weights": [W.tolist() for W in agent.net.weights],
-        "biases": [b.tolist() for b in agent.net.biases],
-        "optimizer": agent.optimizer.state_dict(),
-        "meta": meta or {},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    """Write agent as an uncompressed .npz: the JSON header as a uint8 array and
+    the flat parameters and Adam moments as float64 arrays. Entries carry a fixed
+    time stamp, so equal agents give equal bytes. The archive goes to a temp file
+    in path's directory, fsynced and then renamed to exactly path."""
+    opt = agent.optimizer
+    header = {"version": CHECKPOINT_VERSION, "config_digest": config_digest,
+              "layer_sizes": agent.net.layer_sizes, "horizon": agent.horizon,
+              "state_dim": agent.state_dim, "n_actions": agent.n_actions,
+              "state_scale": None if agent.state_scale is None else agent.state_scale.tolist(),
+              "optimizer": {"step_count": opt.step_count, "lr": opt.lr, "beta1": opt.beta1,
+                            "beta2": opt.beta2, "eps": opt.eps},
+              "meta": meta or {}}
+    arrays = {"header": np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8),
+              "params": agent.net.params, "adam_m": opt.m, "adam_v": opt.v}
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            with zipfile.ZipFile(fh, "w") as archive:
+                for name, array in arrays.items():
+                    info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
+                    info.external_attr = 0o644 << 16
+                    with archive.open(info, "w", force_zip64=True) as entry:
+                        np.lib.format.write_array(entry, array, allow_pickle=False)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expected_n_actions: int | None = None,
-                    config_digest: str | None = None) -> NeuralAgent:
+                    config_digest: str | None = None, *,
+                    expected_horizon: int | None = None,
+                    expected_state_dim: int | None = None) -> NeuralAgent:
     """Agent saved by save_checkpoint. CheckpointError when the file is not a
-    checkpoint of this version, lacks a key, or holds a weight, bias or Adam
-    moment whose shape does not match its layer_sizes."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        version = doc["version"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+    version-2 checkpoint, lacks a header key or an array, holds an array whose
+    dtype or length does not fit its layer_sizes, or was saved for another
+    action count, horizon or state dimension than the expected ones."""
+    with open(path, "rb") as fh:
+        if (magic := fh.read(4)) != b"PK\x03\x04":
+            kind = "a version-1 JSON checkpoint" if magic[:1] == b"{" else "not an .npz archive"
+            raise CheckpointError(f"{path} is {kind}, this stlfunnel reads version 2")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            header = json.loads(arrays.pop("header").astype(np.uint8, casting="no").tobytes())
+            version = header["version"]
+        except KeyError as exc:
+            raise CheckpointError(f"corrupt checkpoint {path}: missing {exc}") from exc
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})")
-    try:
-        layer_sizes, weights, biases, horizon, state_dim, n_actions, opt_state = (
-            doc[key] for key in ("layer_sizes", "weights", "biases", "horizon",
-                                 "state_dim", "n_actions", "optimizer"))
-    except KeyError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: missing key {exc}") from exc
-    if expected_n_actions is not None and n_actions != expected_n_actions:
-        raise CheckpointError(
-            f"checkpoint has {n_actions} actions, environment expects {expected_n_actions}")
-    if config_digest and doc.get("config_digest") and doc["config_digest"] != config_digest:
+    missing = [f"key {key!r}" for key in _HEADER_KEYS if key not in header]
+    missing += [f"array {name!r}" for name in _ARRAYS if name not in arrays]
+    if missing:
+        raise CheckpointError(f"corrupt checkpoint {path}: missing {', '.join(missing)}")
+    for name, expected in (("n_actions", expected_n_actions), ("horizon", expected_horizon),
+                           ("state_dim", expected_state_dim)):
+        if expected is not None and header[name] != expected:
+            raise CheckpointError(f"checkpoint has {name} {header[name]}, "
+                                  f"environment expects {expected}")
+    if config_digest and header["config_digest"] and header["config_digest"] != config_digest:
         log.warning("checkpoint config digest %s differs from current %s",
-                    doc["config_digest"], config_digest)
-
-    scale = doc.get("state_scale")
+                    header["config_digest"], config_digest)
+    layer_sizes, opt_state, scale = (header[k] for k in ("layer_sizes", "optimizer", "state_scale"))
     try:
-        agent = NeuralAgent(state_dim, n_actions, layer_sizes[1:-1], horizon,
-                            lr=opt_state["lr"], rng=None,
+        agent = NeuralAgent(header["state_dim"], header["n_actions"], layer_sizes[1:-1],
+                            header["horizon"], lr=float(opt_state["lr"]), rng=None,
                             state_scale=None if scale is None else tuple(scale))
-        agent.net.load_arrays(agent.net.params, [*weights, *biases])
-        agent.optimizer.load_state_dict(opt_state)
-    except KeyError as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: missing optimizer key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad checkpoint {path}: {exc}") from exc
+        opt = agent.optimizer
+        opt.step_count = int(opt_state["step_count"])
+        opt.beta1, opt.beta2, opt.eps = (float(opt_state[k]) for k in ("beta1", "beta2", "eps"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad checkpoint {path}: {exc!r}") from exc
+    if agent.net.layer_sizes != layer_sizes:
+        raise CheckpointError(f"bad checkpoint {path}: layer_sizes {layer_sizes} do not fit "
+                              f"state_dim {agent.state_dim} and n_actions {agent.n_actions}")
+    for name, dst in zip(_ARRAYS, (agent.net.params, opt.m, opt.v)):
+        src = arrays[name]
+        if src.dtype != np.float64 or src.shape != dst.shape:
+            raise CheckpointError(f"bad checkpoint {path}: {name} is {src.dtype} {src.shape}, "
+                                  f"layer_sizes {layer_sizes} need float64 {dst.shape}")
+        np.copyto(dst, src)
     agent.sync_target()
-    agent.meta = doc.get("meta", {})
+    agent.meta = header["meta"]
     return agent

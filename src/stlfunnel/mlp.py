@@ -53,24 +53,6 @@ class MLP:
             start += n_out
         return weights, biases
 
-    def load_arrays(self, flat: np.ndarray, arrays) -> None:
-        """Copy one array per weight matrix, then one per bias vector, into a
-        vector laid out like params. ValueError when the count or a shape does
-        not match layer_sizes."""
-        weights, biases = self.views(flat)
-        dsts = weights + biases
-        names = ([f"weights[{i}]" for i in range(len(weights))]
-                 + [f"biases[{i}]" for i in range(len(biases))])
-        if len(arrays) != len(dsts):
-            raise ValueError(f"{len(arrays)} arrays for {len(dsts)} weights and biases "
-                             f"of layer_sizes {self.layer_sizes}")
-        for name, dst, src in zip(names, dsts, arrays):
-            src = np.asarray(src, dtype=np.float64)
-            if src.shape != dst.shape:
-                raise ValueError(f"{name} has shape {src.shape}, layer_sizes "
-                                 f"{self.layer_sizes} need {dst.shape}")
-            np.copyto(dst, src)
-
     def forward_single(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n_inputs,):
@@ -177,25 +159,3 @@ class Adam:
         np.copyto(twin.m, self.m)
         np.copyto(twin.v, self.v)
         return twin
-
-    def state_dict(self) -> dict:
-        m_w, m_b = self.net.views(self.m)
-        v_w, v_b = self.net.views(self.v)
-        return {
-            "step_count": self.step_count,
-            "lr": self.lr, "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "m": [a.tolist() for a in m_w + m_b],
-            "v": [a.tolist() for a in v_w + v_b],
-        }
-
-    def load_state_dict(self, state: dict):
-        for key, moment in (("m", self.m), ("v", self.v)):
-            try:
-                self.net.load_arrays(moment, state[key])
-            except ValueError as exc:
-                raise ValueError(f"Adam moment {key}: {exc}") from exc
-        self.step_count = int(state["step_count"])
-        self.lr = float(state["lr"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])

@@ -209,12 +209,14 @@ def test_criterion_4_integrator_boolean_satisfaction():
            f"reach-and-stay {stay_rate:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_5_diffdrive_sequential_reach(diffdrive_funnel_rate):
     report(5, "diff-drive sequential reach rate >= 0.80",
            diffdrive_funnel_rate >= 0.80,
            f"min-obligation-robustness > 0 in {diffdrive_funnel_rate:.2f} of 20 episodes")
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_strictly_worse(diffdrive_funnel_rate):
     ablation_rate = _diffdrive_rate(MODE_ABLATION)
     report(6, "no-funnel ablation strictly below funnel satisfaction",

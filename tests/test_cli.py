@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -33,7 +34,8 @@ OVERLAP_SPEC = {
 }
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def write_config(tmp_path, out_name="out", **changes):
@@ -71,7 +73,7 @@ def test_funnel_overlapping_writes_per_segment_files(tmp_path):
 def test_train_command_outputs(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["train", "--config", str(cfg)]) == EXIT_OK
-    assert (out / "checkpoint.json").exists()
+    assert (out / "checkpoint.npz").exists()
     log_lines = (out / "training_log.csv").read_text().splitlines()
     assert log_lines[0] == "step,episode,epsilon,loss,eval_satisfaction,eval_min_robustness"
     assert len(log_lines) == 5  # evals at 0, 100, 200 plus the final policy
@@ -84,10 +86,10 @@ def test_train_command_outputs(tmp_path):
 def test_train_rerun_is_bit_identical(tmp_path):
     cfg1, out1 = write_config(tmp_path, out_name="a")
     assert main(["train", "--config", str(cfg1)]) == EXIT_OK
-    first = (out1 / "checkpoint.json").read_bytes()
+    first = (out1 / "checkpoint.npz").read_bytes()
     cfg2, out2 = write_config(tmp_path, out_name="b")
     assert main(["train", "--config", str(cfg2)]) == EXIT_OK
-    assert (out2 / "checkpoint.json").read_bytes() == first
+    assert (out2 / "checkpoint.npz").read_bytes() == first
 
 
 def test_train_seed_flag_changes_result(tmp_path):
@@ -95,8 +97,8 @@ def test_train_seed_flag_changes_result(tmp_path):
     main(["train", "--config", str(cfg1)])
     cfg2, out2 = write_config(tmp_path, out_name="b")
     main(["train", "--config", str(cfg2), "--seed", "9"])
-    assert ((out1 / "checkpoint.json").read_bytes()
-            != (out2 / "checkpoint.json").read_bytes())
+    assert ((out1 / "checkpoint.npz").read_bytes()
+            != (out2 / "checkpoint.npz").read_bytes())
 
 
 def test_train_resume_continues_step_count(tmp_path):
@@ -104,11 +106,10 @@ def test_train_resume_continues_step_count(tmp_path):
     main(["train", "--config", str(cfg)])
     cfg2, out2 = write_config(tmp_path, out_name="resumed")
     assert main(["train", "--config", str(cfg2),
-                 "--resume", str(out / "checkpoint.json")]) == EXIT_OK
+                 "--resume", str(out / "checkpoint.npz")]) == EXIT_OK
     meta = json.loads((out2 / "run_meta.json").read_text())
     assert meta["steps_done"] == 600
-    ckpt = json.loads((out2 / "checkpoint.json").read_text())
-    assert ckpt["meta"]["steps_done"] == 600
+    assert load_checkpoint(out2 / "checkpoint.npz").meta["steps_done"] == 600
 
 
 def test_set_override_reaches_training(tmp_path):
@@ -133,7 +134,7 @@ def test_eval_and_monitor_round_trip(tmp_path, capsys):
     main(["train", "--config", str(cfg)])
     eval_out = tmp_path / "eval"
     assert main(["eval", "--config", str(cfg), "--out", str(eval_out),
-                 "--checkpoint", str(out / "checkpoint.json"),
+                 "--checkpoint", str(out / "checkpoint.npz"),
                  "--episodes", "3"]) == EXIT_OK
     summary = json.loads((eval_out / "summary.json").read_text())
     assert summary["n_episodes"] == 3
@@ -161,7 +162,7 @@ def test_eval_deterministic_trajectories(tmp_path):
     a, b = tmp_path / "ea", tmp_path / "eb"
     for dest in (a, b):
         main(["eval", "--config", str(cfg), "--out", str(dest),
-              "--checkpoint", str(out / "checkpoint.json"), "--episodes", "2"])
+              "--checkpoint", str(out / "checkpoint.npz"), "--episodes", "2"])
     assert (a / "trajectory_001.csv").read_bytes() == (b / "trajectory_001.csv").read_bytes()
 
 
@@ -218,34 +219,82 @@ def test_bad_trajectory_is_one_line_error(tmp_path, capsys, csv_bytes, message):
     assert len(err.splitlines()) == 1
 
 
+# A bad checkpoint edit takes the header dict and the arrays of a good
+# checkpoint and either changes them in place (the test writes them back as an
+# .npz) or returns the bytes to write instead.
+
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append("unpickled")
+
+
+class Tripwire:
+    """Unpickling one records it: a loader that refuses pickles never does."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def npz_bytes(header, arrays) -> bytes:
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode()
+    buf = io.BytesIO()
+    np.savez(buf, header=np.frombuffer(header, np.uint8), **arrays)
+    return buf.getvalue()
+
+
 def _drop(key):
-    def edit(doc):
-        del doc[key]
+    def edit(header, arrays):
+        del header[key]
     return edit
 
 
-def _set_version(doc):
-    doc["version"] = 99
+def _set(key, value):
+    def edit(header, arrays):
+        header[key] = value
+    return edit
 
 
-def _weight_row_short(doc):
-    doc["weights"][0] = doc["weights"][0][:-1]
+def _truncated(header, arrays):
+    return npz_bytes(header, arrays)[:-10]
 
 
-def _bias_too_long(doc):
-    doc["biases"][1].append(0.0)
+def _not_zip(header, arrays):
+    return b"\x93NUMPY this is not a zip archive\n"
 
 
-def _moment_wrong_shape(doc):
-    doc["optimizer"]["v"][1] = [[0.0]]
+def _v1_json(header, arrays):
+    return json.dumps({"version": 1, "weights": [], "biases": []}).encode()
 
 
-def _layer_missing(doc):
-    doc["weights"].pop()
+def _header_not_json(header, arrays):
+    return npz_bytes(b'{"version": 2, ', arrays)
 
 
-def _moment_missing(doc):
-    del doc["optimizer"]["m"]
+def _params_one_short(header, arrays):
+    arrays["params"] = arrays["params"][:-1]
+
+
+def _params_one_long(header, arrays):
+    arrays["params"] = np.append(arrays["params"], 0.0)
+
+
+def _layer_missing(header, arrays):
+    del header["layer_sizes"][1]
+
+
+def _moment_wrong_length(header, arrays):
+    arrays["adam_v"] = arrays["adam_v"][:7]
+
+
+def _moment_missing(header, arrays):
+    del arrays["adam_m"]
+
+
+def _params_object(header, arrays):
+    arrays["params"] = np.array([Tripwire()] * arrays["params"].size, dtype=object)
 
 
 @pytest.fixture(scope="module")
@@ -253,41 +302,73 @@ def trained_checkpoint(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ckpt")
     cfg, out = write_config(tmp)
     assert main(["train", "--config", str(cfg)]) == EXIT_OK
-    return json.loads((out / "checkpoint.json").read_text())
+    return (out / "checkpoint.npz").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])
 @pytest.mark.parametrize("edit, message", [
-    (None, "corrupt checkpoint"),
-    (_set_version, "checkpoint version 99 unsupported"),
-    (_weight_row_short, "weights[0] has shape (15, 2), layer_sizes [2, 16, 13] need (16, 2)"),
-    (_bias_too_long, "biases[1] has shape (14,)"),
-    (_moment_wrong_shape, "Adam moment v: weights[1] has shape (1, 1)"),
-    (_layer_missing, "3 arrays for 4 weights and biases"),
+    (_truncated, "corrupt checkpoint"),
+    (_not_zip, "is not an .npz archive, this stlfunnel reads version 2"),
+    (_v1_json, "is a version-1 JSON checkpoint, this stlfunnel reads version 2"),
+    (_header_not_json, "corrupt checkpoint"),
+    (_set("version", 99), "checkpoint version 99 unsupported (expected 2)"),
+    (_params_one_short, "params is float64 (268,), layer_sizes [2, 16, 13] need float64 (269,)"),
+    (_params_one_long, "params is float64 (270,)"),
+    (_moment_wrong_length, "adam_v is float64 (7,), layer_sizes [2, 16, 13] need float64 (269,)"),
+    (_layer_missing, "params is float64 (269,), layer_sizes [2, 13] need float64 (39,)"),
+    (_params_object, "Object arrays cannot be loaded when allow_pickle=False"),
     (_drop("n_actions"), "missing key 'n_actions'"),
     (_drop("state_dim"), "missing key 'state_dim'"),
     (_drop("horizon"), "missing key 'horizon'"),
     (_drop("optimizer"), "missing key 'optimizer'"),
-    (_moment_missing, "missing optimizer key 'm'"),
-], ids=["invalid-json", "version", "weight-row-short", "bias-too-long", "moment-shape",
-        "layer-missing", "no-n_actions", "no-state_dim", "no-horizon", "no-optimizer",
-        "no-moment"])
+    (_moment_missing, "missing array 'adam_m'"),
+    (_set("horizon", 9), "checkpoint has horizon 9, environment expects 8"),
+], ids=["truncated", "not-zip", "v1-json", "invalid-json", "version", "weight-row-short",
+        "bias-too-long", "moment-shape", "layer-missing", "object-dtype", "no-n_actions",
+        "no-state_dim", "no-horizon", "no-optimizer", "no-moment", "horizon-mismatch"])
 def test_bad_checkpoint_is_one_line_error(tmp_path, capsys, trained_checkpoint,
                                           command, edit, message):
     cfg, _ = write_config(tmp_path)
-    ckpt = tmp_path / "bad.json"
-    if edit is None:
-        ckpt.write_text(json.dumps(trained_checkpoint)[:-10])
-    else:
-        doc = json.loads(json.dumps(trained_checkpoint))
-        edit(doc)
-        ckpt.write_text(json.dumps(doc))
+    with np.load(io.BytesIO(trained_checkpoint)) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(arrays.pop("header").tobytes())
+    raw = edit(header, arrays)
+    ckpt = tmp_path / "bad.npz"
+    ckpt.write_bytes(npz_bytes(header, arrays) if raw is None else raw)
     flag = "--checkpoint" if command == "eval" else "--resume"
     assert main([command, "--config", str(cfg), flag, str(ckpt)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error: ")
     assert message in err
     assert len(err.splitlines()) == 1
+    assert TRIPPED == []
+
+
+def test_eval_rejects_checkpoint_of_another_horizon(tmp_path, capsys):
+    config = str(CONFIG_DIR / "integrator_reach_stay.json")
+    out = tmp_path / "train"
+    assert main(["train", "--config", config, "--out", str(out),
+                 "--set", "training.total_steps=0"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--config", config, "--out", str(tmp_path / "eval"),
+                 "--checkpoint", str(out / "checkpoint.npz"), "--episodes", "1",
+                 "--set", "environment.horizon=100",
+                 "--set", "spec.formula=G[0,100](abs(x-5) <= 5 | abs(x-45) <= 5)",
+                 "--set", "spec.t_star.0=80"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == "checkpoint error: checkpoint has horizon 200, environment expects 100\n"
+
+
+def test_eval_warns_when_config_digest_differs(tmp_path, caplog):
+    cfg, out = write_config(tmp_path, training={**BASE_CONFIG["training"], "total_steps": 0})
+    evaluate = ["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
+                "--episodes", "1"]
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    with caplog.at_level("WARNING", logger="stlfunnel.dqn"):
+        assert main([*evaluate, "--out", str(tmp_path / "same")]) == EXIT_OK
+        assert not any("digest" in r.message for r in caplog.records)
+        assert main([*evaluate, "--out", str(tmp_path / "other"), "--seed", "5"]) == EXIT_OK
+    assert any("digest" in r.message for r in caplog.records)
 
 
 # config module ----------------------------------------------------------------
@@ -355,7 +436,7 @@ def test_shipped_config_runs_end_to_end(path, tmp_path):
     log_lines = (out / "training_log.csv").read_text().splitlines()
     assert len(log_lines) == 4  # header, evals at 0 and 150, the final policy
 
-    agent = load_checkpoint(out / "checkpoint.json", expected_n_actions=ctx.env.n_actions)
+    agent = load_checkpoint(out / "checkpoint.npz", expected_n_actions=ctx.env.n_actions)
     traj = rollout(agent, ctx.env, ctx.reward_spec, seed=[0, 1], phi=ctx.phi)
     export_csv(traj, out / "traj.csv")
     back = read_trajectory_csv(out / "traj.csv", list(ctx.env.schema))

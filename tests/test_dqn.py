@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -213,7 +214,7 @@ def test_tiny_task_is_learnable():
 def test_checkpoint_round_trip(tmp_path):
     env, phi, spec, cfg = tiny_problem(total_steps=200)
     result = train(env, spec, phi, cfg)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(result.agent, path, cfg.digest(), meta={"steps_done": 200})
     loaded = load_checkpoint(path, expected_n_actions=env.n_actions,
                              config_digest=cfg.digest())
@@ -224,24 +225,36 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.optimizer.step_count == result.agent.optimizer.step_count
 
 
+def rewrite_checkpoint(path, edit):
+    """Apply edit(header, arrays) to the checkpoint at path and save it back."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(arrays.pop("header").tobytes())
+    edit(header, arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), np.uint8), **arrays)
+
+
 def test_checkpoint_corrupt_file(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path = tmp_path / "bad.npz"
+    path.write_bytes(b"PK\x03\x04 not a whole archive")
     with pytest.raises(CheckpointError, match="corrupt"):
         load_checkpoint(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(b'{"layer_sizes": [2, 1]}', np.uint8))
+    with pytest.raises(CheckpointError, match="corrupt.*missing 'version'"):
+        load_checkpoint(path)
     path.write_text(json.dumps({"version": 1}))
-    with pytest.raises(CheckpointError, match="corrupt"):
+    with pytest.raises(CheckpointError, match="version-1 JSON checkpoint"):
         load_checkpoint(path)
 
 
 def test_checkpoint_version_mismatch(tmp_path):
     env, phi, spec, cfg = tiny_problem(total_steps=10)
     result = train(env, spec, phi, cfg)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(result.agent, path)
-    doc = json.loads(path.read_text())
-    doc["version"] = 99
-    path.write_text(json.dumps(doc))
+    rewrite_checkpoint(path, lambda header, arrays: header.update(version=99))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 
@@ -249,10 +262,16 @@ def test_checkpoint_version_mismatch(tmp_path):
 def test_checkpoint_action_count_mismatch(tmp_path):
     env, phi, spec, cfg = tiny_problem(total_steps=10)
     result = train(env, spec, phi, cfg)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(result.agent, path)
     with pytest.raises(CheckpointError, match="actions"):
         load_checkpoint(path, expected_n_actions=7)
+    with pytest.raises(CheckpointError, match="horizon 5, environment expects 6"):
+        load_checkpoint(path, expected_horizon=6)
+    with pytest.raises(CheckpointError, match="state_dim 1, environment expects 2"):
+        load_checkpoint(path, expected_state_dim=2)
+    load_checkpoint(path, expected_n_actions=env.n_actions, expected_horizon=env.horizon,
+                    expected_state_dim=len(env.schema))
 
 
 def test_agent_parameters_stay_views_through_sync_clone_and_load(tmp_path):
@@ -289,7 +308,7 @@ def test_agent_parameters_stay_views_through_sync_clone_and_load(tmp_path):
         assert np.array_equal(mine, old)
         assert not np.array_equal(theirs, old)
 
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(agent, path)
     loaded = load_checkpoint(path)
     check_views(loaded)
@@ -297,6 +316,7 @@ def test_agent_parameters_stay_views_through_sync_clone_and_load(tmp_path):
     assert np.array_equal(loaded.target_net.params, agent.net.params)
     assert np.array_equal(loaded.optimizer.m, agent.optimizer.m)
     assert np.array_equal(loaded.optimizer.v, agent.optimizer.v)
+    assert loaded.optimizer.step_count == agent.optimizer.step_count
     # Only a network that trains holds gradient and optimizer scratch space.
     for idle in (agent.target_net, twin.net, twin.target_net, loaded.net, loaded.target_net):
         assert idle.grad is None
@@ -307,11 +327,49 @@ def test_agent_parameters_stay_views_through_sync_clone_and_load(tmp_path):
 def test_checkpoint_digest_mismatch_warns_only(tmp_path, caplog):
     env, phi, spec, cfg = tiny_problem(total_steps=10)
     result = train(env, spec, phi, cfg)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(result.agent, path, config_digest="aaaa")
     with caplog.at_level("WARNING", logger="stlfunnel.dqn"):
         load_checkpoint(path, config_digest="bbbb")
     assert any("digest" in r.message for r in caplog.records)
+
+
+def test_checkpoint_is_written_to_exactly_the_given_path(tmp_path):
+    env, phi, spec, cfg = tiny_problem(total_steps=10)
+    agent = train(env, spec, phi, cfg).agent
+    save_checkpoint(agent, tmp_path / "x.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+    assert np.array_equal(load_checkpoint(tmp_path / "x.json").net.params, agent.net.params)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    env, phi, spec, cfg = tiny_problem(total_steps=50)
+    first = train(env, spec, phi, cfg).agent
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(first, path)
+    before = path.read_bytes()
+
+    second = train(env, spec, phi, dataclasses.replace(cfg, seed=1)).agent
+    write_array = np.lib.format.write_array
+    calls = []
+
+    def fail_on_second_array(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_on_second_array)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(second, path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
+    assert path.read_bytes() == before
+    loaded = load_checkpoint(path)
+    s = env.reset()
+    for t in range(env.horizon):
+        assert np.array_equal(loaded.q_values(s, t), first.q_values(s, t))
+        assert not np.array_equal(loaded.q_values(s, t), second.q_values(s, t))
 
 
 # Config -----------------------------------------------------------------------
