@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import evalmon
-from .config import ConfigError, apply_overrides, build_run, load_config
+from .config import ConfigError, RunContext, apply_overrides, build_run, load_config
 from .dqn import CheckpointError, TrainingDiverged, load_checkpoint, save_checkpoint, train
 
 EXIT_OK = 0
@@ -40,16 +40,16 @@ def _add_common(p: argparse.ArgumentParser):
                    metavar="KEY.PATH=VALUE", help="override a config key")
 
 
-def _load(args) -> "tuple[dict, object]":
+def _load(args) -> RunContext:
     cfg = load_config(args.config)
     apply_overrides(cfg, args.overrides)
     if args.seed is not None:
-        cfg.setdefault("training", {})["seed"] = args.seed
+        apply_overrides(cfg, [f"training.seed={args.seed}"])
     if args.out is not None:
         cfg["output_dir"] = args.out
     ctx = build_run(cfg)
     os.makedirs(ctx.output_dir, exist_ok=True)
-    return cfg, ctx
+    return ctx
 
 
 def _write_json(path, doc):
@@ -66,7 +66,7 @@ def _load_agent(path, ctx, digest):
 
 
 def cmd_funnel(args) -> int:
-    _, ctx = _load(args)
+    ctx = _load(args)
     out = ctx.output_dir
     _write_json(os.path.join(out, "schedule.json"), ctx.schedule.to_json_dict())
     evalmon.export_funnel_csv(ctx.schedule, os.path.join(out, "funnel.csv"))
@@ -79,14 +79,17 @@ def cmd_funnel(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, ctx = _load(args)
+    ctx = _load(args)
     out = ctx.output_dir
     digest = ctx.train_cfg.digest()
     agent = None
     start_step = 0
     if args.resume:
         agent = _load_agent(args.resume, ctx, digest)
-        start_step = int(agent.meta.get("steps_done", 0))
+        start_step = agent.meta.get("steps_done", 0)
+        if not isinstance(start_step, int) or isinstance(start_step, bool) or start_step < 0:
+            raise CheckpointError(f"{args.resume}: meta.steps_done must be a nonnegative "
+                                  f"integer, got {start_step!r}")
     result = train(ctx.env, ctx.reward_spec, ctx.phi, ctx.train_cfg,
                    agent=agent, start_step=start_step)
     steps_done = start_step + ctx.train_cfg.total_steps
@@ -114,7 +117,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, ctx = _load(args)
+    ctx = _load(args)
     out = ctx.output_dir
     if args.episodes <= 0:
         raise ConfigError(f"--episodes must be positive, got {args.episodes}")
@@ -152,7 +155,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    cfg, ctx = _load(args)
+    ctx = _load(args)
     traj = evalmon.read_trajectory_csv(args.trajectory, list(ctx.env.schema))
     report = evalmon.check_satisfaction(ctx.phi, traj)
     verdict = {

@@ -9,14 +9,16 @@ overrides use dot paths, e.g. training.seed=3.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .envs import EnvConfig, Environment, make_env
-from .funnel import FunnelSchedule, FunnelSynthesisError, build_schedule
+from .funnel import FunnelSchedule, build_schedule
 from .robustness import RhoBounds, estimate_rho_bounds
-from .reward import MODE_ABLATION, MODE_FUNNEL, RewardSpec
-from .stl.formula import Formula, FragmentError, temporal_conjuncts
-from .stl.parser import ParseError, parse_formula
+from .reward import MODE_FUNNEL, RewardSpec
+from .stl.formula import Formula, temporal_conjuncts
+from .stl.parser import parse_formula
 from .dqn import TrainConfig
 
 __all__ = ["ConfigError", "RunContext", "load_config", "apply_overrides", "build_run"]
@@ -77,116 +79,83 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, section: str | None = None):
-    where = f"{section}.{key}" if section else key
-    node = cfg.get(section, {}) if section else cfg
-    if key not in node:
-        raise ConfigError(f"missing required config key {where!r}")
-    return node[key]
+@contextmanager
+def _section(where: str):
+    """Turn a failure to build one config section into a ConfigError naming it;
+    a ConfigError raised inside passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        detail = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{where}: {detail}") from exc
 
 
-def _build_env(cfg: dict) -> Environment:
-    env_cfg = cfg.get("environment")
-    if not isinstance(env_cfg, dict):
-        raise ConfigError("missing required config section 'environment'")
-    kind = _require(cfg, "kind", "environment")
+def _build_env(env_cfg: dict) -> Environment:
     reset = env_cfg.get("reset", {"kind": "default"})
     reset_kind = reset.get("kind", "default")
-    kwargs = {}
     if reset_kind in ("default", "fixed"):
-        kwargs["reset_kind"] = "fixed"
+        kwargs = {"reset_kind": "fixed"}
         if reset_kind == "fixed":
-            if "value" not in reset:
-                raise ConfigError("environment.reset.value required for fixed resets")
             kwargs["reset_fixed"] = tuple(reset["value"])
     elif reset_kind == "uniform":
-        for k in ("low", "high"):
-            if k not in reset:
-                raise ConfigError(f"environment.reset.{k} required for uniform resets")
-        kwargs.update(reset_kind="uniform", reset_low=tuple(reset["low"]),
-                      reset_high=tuple(reset["high"]))
+        kwargs = {"reset_kind": "uniform", "reset_low": tuple(reset["low"]),
+                  "reset_high": tuple(reset["high"])}
     else:
-        raise ConfigError(f"environment.reset.kind {reset_kind!r} unknown")
-    try:
-        ec = EnvConfig(kind=kind, tau=float(env_cfg.get("tau", 0.01)),
-                       horizon=int(env_cfg.get("horizon", 200)),
-                       constants=env_cfg.get("constants", {}), **kwargs)
-        return make_env(ec)
-    except ValueError as exc:
-        raise ConfigError(f"environment: {exc}") from exc
+        raise ValueError(f"reset kind {reset_kind!r} unknown")
+    return make_env(EnvConfig(kind=env_cfg["kind"], tau=float(env_cfg.get("tau", 0.01)),
+                              horizon=int(env_cfg.get("horizon", 200)),
+                              constants=env_cfg.get("constants", {}), **kwargs))
 
 
-def _int_key_map(raw: dict | None, section: str) -> dict[int, float]:
-    out = {}
-    for k, v in (raw or {}).items():
-        try:
-            out[int(k)] = v
-        except ValueError:
-            raise ConfigError(f"{section}: key {k!r} is not a conjunct index") from None
-    return out
+def _int_key_map(raw: dict | None) -> dict[int, object]:
+    """A per-conjunct mapping with its JSON string keys read as conjunct indices."""
+    return {int(k): v for k, v in (raw or {}).items()}
 
 
 def build_run(cfg: dict) -> RunContext:
-    env = _build_env(cfg)
-    spec_cfg = cfg.get("spec")
-    if not isinstance(spec_cfg, dict):
-        raise ConfigError("missing required config section 'spec'")
-    formula_text = _require(cfg, "formula", "spec")
-    try:
-        phi = parse_formula(formula_text, list(env.schema))
-    except ParseError as exc:
-        raise ConfigError(f"spec.formula: {exc}") from exc
-
-    try:
+    """Every section of cfg built into a RunContext; ConfigError names the
+    section of the first value that does not build."""
+    with _section("environment"):
+        env = _build_env(cfg["environment"])
+    with _section("spec.formula"):
+        spec_cfg = cfg["spec"]
+        phi = parse_formula(spec_cfg["formula"], list(env.schema))
         conjuncts = temporal_conjuncts(phi)
-    except FragmentError as exc:
-        raise ConfigError(f"spec.formula: {exc}") from exc
-
-    box = {k: tuple(v) for k, v in spec_cfg.get("box", {}).items()}
-    grid_n = int(spec_cfg.get("grid_n", 101))
-    bound_overrides = _int_key_map(spec_cfg.get("rho_bounds"), "spec.rho_bounds")
-    bounds = []
-    for idx, c in enumerate(conjuncts):
-        if idx in bound_overrides:
-            lo, hi = bound_overrides[idx]
-            bounds.append(RhoBounds(float(lo), float(hi)))
-        else:
-            if not box:
+    with _section("spec"):
+        box = {k: tuple(v) for k, v in spec_cfg.get("box", {}).items()}
+        grid_n = int(spec_cfg.get("grid_n", 101))
+        bound_overrides = _int_key_map(spec_cfg.get("rho_bounds"))
+        bounds = []
+        for idx, c in enumerate(conjuncts):
+            if idx in bound_overrides:
+                lo, hi = bound_overrides[idx]
+                bounds.append(RhoBounds(float(lo), float(hi)))
+            elif not box:
                 raise ConfigError(
                     f"spec.box required to estimate rho bounds for conjunct {idx} "
                     "(or supply spec.rho_bounds)")
-            try:
+            else:
                 bounds.append(estimate_rho_bounds(c.body, box, grid_n))
-            except ValueError as exc:
-                raise ConfigError(f"spec.box: {exc}") from exc
-
-    t_star = {k: int(v) for k, v in _int_key_map(spec_cfg.get("t_star"), "spec.t_star").items()}
-    gamma_inf = {k: float(v) for k, v in
-                 _int_key_map(spec_cfg.get("gamma_inf"), "spec.gamma_inf").items()}
-
-    try:
+        t_star = {k: int(v) for k, v in _int_key_map(spec_cfg.get("t_star")).items()}
+        gamma_inf = {k: float(v) for k, v in _int_key_map(spec_cfg.get("gamma_inf")).items()}
         schedule = build_schedule(phi, bounds, env.horizon,
-                                  gamma_inf_overrides=gamma_inf,
-                                  t_star_overrides=t_star)
-    except (FunnelSynthesisError, FragmentError) as exc:
-        raise ConfigError(f"spec: {exc}") from exc
-
-    mode = cfg.get("reward_mode", MODE_FUNNEL)
-    if mode not in (MODE_FUNNEL, MODE_ABLATION):
-        raise ConfigError(f"reward_mode {mode!r} unknown")
-    reward_spec = RewardSpec(schedule=schedule,
-                             psis=tuple(c.body for c in conjuncts), mode=mode)
-
-    train_raw = dict(cfg.get("training", {}))
-    if "hidden_sizes" in train_raw:
-        train_raw["hidden_sizes"] = tuple(train_raw["hidden_sizes"])
-    if train_raw.get("state_scale") is not None:
-        train_raw["state_scale"] = tuple(train_raw["state_scale"])
-    try:
+                                  gamma_inf_overrides=gamma_inf, t_star_overrides=t_star)
+    with _section("reward_mode"):
+        reward_spec = RewardSpec(schedule=schedule, psis=tuple(c.body for c in conjuncts),
+                                 mode=cfg.get("reward_mode", MODE_FUNNEL))
+    with _section("training"):
+        train_raw = dict(cfg.get("training", {}))
+        if "hidden_sizes" in train_raw:
+            train_raw["hidden_sizes"] = tuple(train_raw["hidden_sizes"])
+        if train_raw.get("state_scale") is not None:
+            train_raw["state_scale"] = tuple(train_raw["state_scale"])
         train_cfg = TrainConfig(**train_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"training: {exc}") from exc
-
+        if train_cfg.state_scale is not None and len(train_cfg.state_scale) != len(env.schema):
+            raise ValueError(f"state_scale has {len(train_cfg.state_scale)} values, "
+                             f"the state has {len(env.schema)}")
+    with _section("output_dir"):
+        output_dir = os.fspath(cfg.get("output_dir", "out"))
     return RunContext(env=env, phi=phi, schedule=schedule, reward_spec=reward_spec,
-                      train_cfg=train_cfg, output_dir=cfg.get("output_dir", "out"),
-                      raw=cfg)
+                      train_cfg=train_cfg, output_dir=output_dir, raw=cfg)

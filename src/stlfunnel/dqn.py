@@ -108,14 +108,29 @@ class TrainConfig:
     keep_best: bool = False
 
     def __post_init__(self):
+        counts = {name: getattr(self, name) for name in (
+            "total_steps", "batch_size", "target_update_freq", "eval_freq", "eval_episodes",
+            "replay_capacity", "seed", "epsilon_decay_steps")}
+        if self.epsilon_decay_steps is None:
+            del counts["epsilon_decay_steps"]
+        counts.update((f"hidden_sizes[{i}]", n) for i, n in enumerate(self.hidden_sizes))
+        for name, value in counts.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+                   for x in self.state_scale or ()):
+            raise ValueError(f"state_scale must hold positive numbers, got {self.state_scale}")
         if not (0 < self.discount < 1):
             raise ValueError(f"discount must be in (0,1), got {self.discount}")
         for name in ("lr", "batch_size", "target_update_freq", "eval_freq",
                      "eval_episodes", "replay_capacity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be nonnegative")
+        if any(n <= 0 for n in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        for name in ("total_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not (0 <= self.epsilon_end <= self.epsilon_start <= 1):
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
 
@@ -205,10 +220,6 @@ class NeuralAgent:
 
     def q_values(self, s, t) -> np.ndarray:
         return self.net.forward_single(self._input_single(s, t))
-
-    def q_batch(self, S, T) -> np.ndarray:
-        out, _ = self.net.forward_batch(self._input_batch(S, T))
-        return out
 
     def target_q_batch(self, S, T) -> np.ndarray:
         out, _ = self.target_net.forward_batch(self._input_batch(S, T))
@@ -478,6 +489,8 @@ def load_checkpoint(path, expected_n_actions: int | None = None,
     missing += [f"array {name!r}" for name in _ARRAYS if name not in arrays]
     if missing:
         raise CheckpointError(f"corrupt checkpoint {path}: missing {', '.join(missing)}")
+    if not isinstance(header["meta"], dict):
+        raise CheckpointError(f"corrupt checkpoint {path}: meta is not a JSON object")
     for name, expected in (("n_actions", expected_n_actions), ("horizon", expected_horizon),
                            ("state_dim", expected_state_dim)):
         if expected is not None and header[name] != expected:

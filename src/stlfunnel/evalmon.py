@@ -71,14 +71,12 @@ def _prefix_satisfaction(phi: Formula, rho_psi: np.ndarray) -> np.ndarray:
         lo, hi = c.footprint.lo, c.footprint.hi
         vals = rho_psi[:, idx]
         if c.kind == "G":
-            bad = np.zeros(n, dtype=bool)
             window = (np.arange(n) >= lo) & (np.arange(n) <= hi) & (vals < 0)
             bad = np.cumsum(window) > 0
             out[bad] = 0.0
         else:
             # F (and the F-G form, conservatively): once the window has fully
             # elapsed without a satisfying step, the prefix is violated.
-            hit = np.zeros(n, dtype=bool)
             in_window = (np.arange(n) >= lo) & (np.arange(n) <= hi) & (vals >= 0)
             hit = np.cumsum(in_window) > 0
             missed = (np.arange(n) > hi) & ~hit
@@ -174,8 +172,9 @@ def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
     """Load a trajectory CSV; only t and the state columns are required.
 
     Raises TrajectoryError for a file that does not decode as text, a missing
-    column, a row whose field count differs from the header's, a cell that is
-    not a number, or a NaN or infinite state cell.
+    column, a row whose field count differs from the header's, a t column that
+    is not 0, 1, ..., n-1 in order, a cell that is not a number, or a NaN or
+    infinite state cell.
     """
     try:
         with open(path) as fh:
@@ -193,6 +192,11 @@ def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
                 f"the header has {len(header)}")
     idx = {name: header.index(name) for name in header}
     n = len(rows)
+    t, steps = [r[idx["t"]] for r in rows], [str(i) for i in range(n)]
+    if t != steps:
+        i = next(i for i, (got, want) in enumerate(zip(t, steps)) if got != want)
+        raise TrajectoryError(
+            f"trajectory CSV column 't' reads {t[i]!r} at data row {i + 1}, expected {i}")
 
     def col(name, default=np.nan, dtype=float):
         if name not in idx:

@@ -37,10 +37,6 @@ class MLP:
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.layer_sizes[-1]
-
     def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer (weights, biases) views into a vector laid out like params."""
         weights, biases = [], []

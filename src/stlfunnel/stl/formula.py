@@ -38,9 +38,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval lower bound exceeds upper bound: [{self.lo},{self.hi}]")
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def pretty(self) -> str:
         return f"[{self.lo},{self.hi}]"
 

@@ -192,6 +192,81 @@ def test_malformed_override_is_config_error(tmp_path, capsys):
     assert main(["funnel", "--config", str(cfg), "--set", "no_equals"]) == EXIT_CONFIG
 
 
+# Every key path of a shipped config, overridden with a value of each JSON type,
+# exits 0 or 2: a malformed value is one "config error: <section>: ..." line,
+# never a traceback. training.* overrides run `train` (zero steps unless the
+# step count is under test), everything else `funnel`.
+
+INTEGRATOR = CONFIG_DIR / "integrator_reach_stay.json"
+ODD_VALUES = ["null", "true", '"x"', "[1]", '{"a": 1}', "-1", "0", "1.5"]
+
+
+def key_paths(node, prefix=""):
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+
+
+def run_override(override: str) -> int:
+    argv = ["funnel", "--config", str(INTEGRATOR), "--set", override]
+    if override.startswith("training."):
+        argv[0] = "train"
+        if not override.startswith("training.total_steps="):
+            argv += ["--set", "training.total_steps=0"]
+    return main(argv)
+
+
+@pytest.mark.parametrize("path", list(key_paths(load_config(INTEGRATOR))))
+def test_any_override_exits_0_or_one_config_error_line(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the config's relative output_dir lands here
+    for value in ODD_VALUES:
+        code = run_override(f"{path}={value}")
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG), (value, err)
+        if code == EXIT_CONFIG:
+            assert len(err.splitlines()) == 1, (value, err)
+
+
+@pytest.mark.parametrize("override, section", [
+    ("spec.formula=5", "spec.formula"),
+    ("spec.formula=[1]", "spec.formula"),
+    ("spec.box.x=5", "spec"),
+    ('spec.t_star.0="a"', "spec"),
+    ("spec.rho_bounds=[1]", "spec"),
+    ("spec.rho_bounds.0=1.5", "spec"),
+    ("spec.gamma_inf.0=null", "spec"),
+    ("environment.horizon=null", "environment"),
+    ("environment.tau=null", "environment"),
+    ("environment.reset=3", "environment"),
+    ("environment.reset.low=0", "environment"),
+    ("training=[1]", "training"),
+    ("output_dir=null", "output_dir"),
+    ("environment.horizon=1e400", "environment"),
+    ("spec.t_star.0=1e400", "spec"),
+    ('training.hidden_sizes=["a"]', "training"),
+    ("training.hidden_sizes=[0]", "training"),
+    ('training.seed="a"', "training"),
+    ("training.total_steps=1.5", "training"),
+    ('training.epsilon_decay_steps="a"', "training"),
+    ("training.batch_size=2.5", "training"),
+])
+def test_malformed_value_is_config_error_naming_its_section(override, section, tmp_path,
+                                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_override(override) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_missing_key_names_section_and_key(tmp_path, capsys):
+    env = {k: v for k, v in BASE_CONFIG["environment"].items() if k != "kind"}
+    cfg, _ = write_config(tmp_path, environment=env)
+    assert main(["funnel", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: environment: missing required key 'kind'\n"
+
+
 def test_missing_trajectory_is_io_error(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     assert main(["monitor", "--config", str(cfg),
@@ -207,7 +282,11 @@ def test_missing_trajectory_is_io_error(tmp_path, capsys):
     (b"t,x\n0,inf\n", "non-finite 'x' value 'inf' at data row 1"),
     (b"t,x\n0,1.0\n1\n", "data row 2 has 1 fields"),
     (b"t,x\n0,\xff\n", "not text"),
-], ids=["too-short", "missing-column", "non-numeric", "nan", "inf", "ragged-row", "not-text"])
+    (b"t,x\n1,1.0\n0,1.0\n", "column 't' reads '1' at data row 1, expected 0"),
+    (b"t,x\n0,1.0\n2,1.0\n", "column 't' reads '2' at data row 2, expected 1"),
+    (b"t,x\n0,1.0\n0,1.0\n", "column 't' reads '0' at data row 2, expected 1"),
+], ids=["too-short", "missing-column", "non-numeric", "nan", "inf", "ragged-row", "not-text",
+        "t-reversed", "t-gap", "t-duplicate"])
 def test_bad_trajectory_is_one_line_error(tmp_path, capsys, csv_bytes, message):
     cfg, _ = write_config(tmp_path)
     traj = tmp_path / "bad.csv"
@@ -297,6 +376,12 @@ def _params_object(header, arrays):
     arrays["params"] = np.array([Tripwire()] * arrays["params"].size, dtype=object)
 
 
+def _steps_done(value):
+    def edit(header, arrays):
+        header["meta"]["steps_done"] = value
+    return edit
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ckpt")
@@ -305,27 +390,44 @@ def trained_checkpoint(tmp_path_factory):
     return (out / "checkpoint.npz").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["eval", "train"])
-@pytest.mark.parametrize("edit, message", [
-    (_truncated, "corrupt checkpoint"),
-    (_not_zip, "is not an .npz archive, this stlfunnel reads version 2"),
-    (_v1_json, "is a version-1 JSON checkpoint, this stlfunnel reads version 2"),
-    (_header_not_json, "corrupt checkpoint"),
-    (_set("version", 99), "checkpoint version 99 unsupported (expected 2)"),
-    (_params_one_short, "params is float64 (268,), layer_sizes [2, 16, 13] need float64 (269,)"),
-    (_params_one_long, "params is float64 (270,)"),
-    (_moment_wrong_length, "adam_v is float64 (7,), layer_sizes [2, 16, 13] need float64 (269,)"),
-    (_layer_missing, "params is float64 (269,), layer_sizes [2, 13] need float64 (39,)"),
-    (_params_object, "Object arrays cannot be loaded when allow_pickle=False"),
-    (_drop("n_actions"), "missing key 'n_actions'"),
-    (_drop("state_dim"), "missing key 'state_dim'"),
-    (_drop("horizon"), "missing key 'horizon'"),
-    (_drop("optimizer"), "missing key 'optimizer'"),
-    (_moment_missing, "missing array 'adam_m'"),
-    (_set("horizon", 9), "checkpoint has horizon 9, environment expects 8"),
-], ids=["truncated", "not-zip", "v1-json", "invalid-json", "version", "weight-row-short",
-        "bias-too-long", "moment-shape", "layer-missing", "object-dtype", "no-n_actions",
-        "no-state_dim", "no-horizon", "no-optimizer", "no-moment", "horizon-mismatch"])
+# (edit, message, id) for edits that both eval and train --resume reject.
+LOADER_CASES = [
+    (_truncated, "corrupt checkpoint", "truncated"),
+    (_not_zip, "is not an .npz archive, this stlfunnel reads version 2", "not-zip"),
+    (_v1_json, "is a version-1 JSON checkpoint, this stlfunnel reads version 2", "v1-json"),
+    (_header_not_json, "corrupt checkpoint", "invalid-json"),
+    (_set("version", 99), "checkpoint version 99 unsupported (expected 2)", "version"),
+    (_params_one_short,
+     "params is float64 (268,), layer_sizes [2, 16, 13] need float64 (269,)", "weight-row-short"),
+    (_params_one_long, "params is float64 (270,)", "bias-too-long"),
+    (_moment_wrong_length,
+     "adam_v is float64 (7,), layer_sizes [2, 16, 13] need float64 (269,)", "moment-shape"),
+    (_layer_missing,
+     "params is float64 (269,), layer_sizes [2, 13] need float64 (39,)", "layer-missing"),
+    (_params_object, "Object arrays cannot be loaded when allow_pickle=False", "object-dtype"),
+    (_drop("n_actions"), "missing key 'n_actions'", "no-n_actions"),
+    (_drop("state_dim"), "missing key 'state_dim'", "no-state_dim"),
+    (_drop("horizon"), "missing key 'horizon'", "no-horizon"),
+    (_drop("optimizer"), "missing key 'optimizer'", "no-optimizer"),
+    (_moment_missing, "missing array 'adam_m'", "no-moment"),
+    (_set("horizon", 9), "checkpoint has horizon 9, environment expects 8", "horizon-mismatch"),
+    (_set("meta", [1]), "meta is not a JSON object", "meta-not-object"),
+]
+# Edits that only train --resume reads: eval ignores the step count.
+RESUME_CASES = [
+    (_steps_done("many"), "meta.steps_done must be a nonnegative integer, got 'many'",
+     "steps-done-not-int"),
+    (_steps_done(-5), "meta.steps_done must be a nonnegative integer, got -5",
+     "steps-done-negative"),
+]
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    *(pytest.param(command, edit, message, id=f"{case}-{command}")
+      for command in ("eval", "train") for edit, message, case in LOADER_CASES),
+    *(pytest.param("train", edit, message, id=f"{case}-train")
+      for edit, message, case in RESUME_CASES),
+])
 def test_bad_checkpoint_is_one_line_error(tmp_path, capsys, trained_checkpoint,
                                           command, edit, message):
     cfg, _ = write_config(tmp_path)
