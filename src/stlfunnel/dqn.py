@@ -117,15 +117,15 @@ class TrainConfig:
         for name, value in counts.items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < np.inf
                    for x in self.state_scale or ()):
-            raise ValueError(f"state_scale must hold positive numbers, got {self.state_scale}")
+            raise ValueError(f"state_scale must be positive and finite, got {self.state_scale}")
         if not (0 < self.discount < 1):
             raise ValueError(f"discount must be in (0,1), got {self.discount}")
         for name in ("lr", "batch_size", "target_update_freq", "eval_freq",
                      "eval_episodes", "replay_capacity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if any(n <= 0 for n in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
         for name in ("total_steps", "seed"):

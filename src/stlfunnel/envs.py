@@ -66,8 +66,14 @@ class EnvConfig:
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        numbers = {"reset value": self.reset_fixed, "reset low": self.reset_low,
+                   "reset high": self.reset_high,
+                   **{f"constants.{key}": (v,) for key, v in self.constants.items()}}
+        for name, values in numbers.items():
+            if not all(math.isfinite(v) for v in values or ()):
+                raise ValueError(f"{name} must be finite, got {values}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.kind not in ("pendulum", "diffdrive", "integrator"):

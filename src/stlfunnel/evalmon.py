@@ -20,8 +20,8 @@ from .reward import RewardSpec, funnel_columns, robustness_columns
 # The per-step reward under the name the benchmark's traced run wraps
 # (perfbench/tracing.py); rollouts compute the reward column with funnel_columns.
 from .reward import reward as reward_fn  # noqa: F401
-from .robustness import rho_trace
-from .stl.formula import Formula, FragmentError, formula_horizon, temporal_conjuncts
+from .robustness import rho_trace, violation_step
+from .stl.formula import Formula, FragmentError, classify_fragment, formula_horizon
 
 __all__ = [
     "Trajectory", "TrajectoryError", "SatisfactionReport", "rollout", "check_satisfaction",
@@ -57,31 +57,6 @@ class SatisfactionReport:
     satisfied: bool
     robustness: float
     obligation_min: float
-
-
-def _prefix_satisfaction(phi: Formula, rho_psi: np.ndarray) -> np.ndarray:
-    """Per-step flag: no obligation due so far has been missed."""
-    n = len(rho_psi)
-    out = np.ones(n)
-    try:
-        conjuncts = temporal_conjuncts(phi)
-    except FragmentError:
-        return out
-    for idx, c in enumerate(conjuncts):
-        lo, hi = c.footprint.lo, c.footprint.hi
-        vals = rho_psi[:, idx]
-        if c.kind == "G":
-            window = (np.arange(n) >= lo) & (np.arange(n) <= hi) & (vals < 0)
-            bad = np.cumsum(window) > 0
-            out[bad] = 0.0
-        else:
-            # F (and the F-G form, conservatively): once the window has fully
-            # elapsed without a satisfying step, the prefix is violated.
-            in_window = (np.arange(n) >= lo) & (np.arange(n) <= hi) & (vals >= 0)
-            hit = np.cumsum(in_window) > 0
-            missed = (np.arange(n) > hi) & ~hit
-            out[missed] = 0.0
-    return out
 
 
 def rollout(agent, env: Environment, spec: RewardSpec, seed=0,
@@ -144,7 +119,16 @@ def check_satisfaction(phi: Formula, traj: Trajectory) -> SatisfactionReport:
 
 
 def fill_prefix_satisfaction(traj: Trajectory, phi: Formula):
-    traj.satisfied_so_far = _prefix_satisfaction(phi, traj.rho_psi)
+    """satisfied_so_far: 1 before the first step whose prefix already violates phi, 0
+    from it on (the verdict once the formula horizon is covered); all ones outside the fragment."""
+    try:
+        classify_fragment(phi)
+    except FragmentError:  # e.g. a negated temporal operator has no violation step
+        first_bad = np.inf
+    else:
+        columns = {name: traj.states[:, j] for j, name in enumerate(traj.schema)}
+        first_bad = violation_step(phi, columns)
+    traj.satisfied_so_far = (np.arange(traj.horizon + 1) < first_bad).astype(float)
 
 
 def export_csv(traj: Trajectory, path, metadata_path=None):

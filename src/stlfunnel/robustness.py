@@ -25,7 +25,8 @@ from .stl.formula import (
     is_nontemporal,
 )
 
-__all__ = ["RhoBounds", "rho_pointwise", "rho_trace", "estimate_rho_bounds", "TemporalInPointwiseError"]
+__all__ = ["RhoBounds", "rho_pointwise", "rho_trace", "violation_step", "estimate_rho_bounds",
+           "TemporalInPointwiseError"]
 
 StateVector = Mapping[str, float]
 # A trace as column arrays by variable name, or as a sequence of states.
@@ -44,8 +45,8 @@ class RhoBounds:
     rho_max: float
 
     def __post_init__(self):
-        if self.rho_min > self.rho_max:
-            raise ValueError(f"rho_min {self.rho_min} exceeds rho_max {self.rho_max}")
+        if not -math.inf < self.rho_min <= self.rho_max < math.inf:
+            raise ValueError(f"need finite rho_min <= rho_max: [{self.rho_min}, {self.rho_max}]")
 
 
 def rho_pointwise(psi: Formula, s: StateVector) -> float:
@@ -83,7 +84,26 @@ def rho_trace(phi: Formula, trace: Trace, t: int = 0) -> float:
         raise ValueError(
             f"trace of length {n} too short: formula requires step {need} "
             f"when evaluated at t={t}")
-    return float(_signal(phi, columns, n)[t])
+    return float(_signal(phi, columns, n, rho_pointwise)[t])
+
+
+def violation_step(phi: Formula, trace: Trace) -> float:
+    """First step k whose prefix 0..k already violates phi at step 0, or inf.
+
+    Non-temporal sub-formulas are valued at the steps where their robustness is
+    negative, +inf where they hold or past the trace; G's window minimum is then
+    the first violating step and F's maximum the step by which every candidate
+    has failed. phi must not negate a temporal operator (no violation step then).
+    """
+    columns, n = _columns(trace)
+    steps = np.arange(n + formula_horizon(phi), dtype=float)
+
+    def failure_steps(psi, cols):
+        violated = np.zeros(len(steps), dtype=bool)
+        violated[:n] = np.asarray(rho_pointwise(psi, cols)) < 0
+        return np.where(violated, steps, np.inf)
+
+    return float(_signal(phi, columns, len(steps), failure_steps)[0])
 
 
 def _columns(trace: Trace) -> tuple[Mapping[str, np.ndarray], int]:
@@ -96,28 +116,26 @@ def _columns(trace: Trace) -> tuple[Mapping[str, np.ndarray], int]:
     return {name: np.array([s[name] for s in trace], dtype=float) for name in names}, len(trace)
 
 
-def _signal(phi: Formula, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    """Robustness of phi at every step t whose horizon fits in the n steps,
-    i.e. an array of length n - formula_horizon(phi).
-
-    Every operation selects or negates values of its operands, so entry t
-    equals the recursive definition at step t (up to the sign of a zero).
-    """
+def _signal(phi: Formula, columns: Mapping[str, np.ndarray], n: int, leaf) -> np.ndarray:
+    """phi at every step t whose horizon fits in the n steps (an array of length
+    n - formula_horizon(phi)); leaf(psi, columns) values each non-temporal psi.
+    Every operation selects or negates operand values, so with leaf = rho_pointwise
+    entry t equals the recursive definition at step t (up to the sign of a zero)."""
     if is_nontemporal(phi):
-        return np.broadcast_to(np.asarray(rho_pointwise(phi, columns), dtype=float), (n,))
+        return np.broadcast_to(np.asarray(leaf(phi, columns), dtype=float), (n,))
     if isinstance(phi, Not):
-        return -_signal(phi.arg, columns, n)
+        return -_signal(phi.arg, columns, n, leaf)
     if isinstance(phi, (And, Or)):
-        left, right = _signal(phi.left, columns, n), _signal(phi.right, columns, n)
+        left, right = _signal(phi.left, columns, n, leaf), _signal(phi.right, columns, n, leaf)
         m = min(len(left), len(right))
         op = np.minimum if isinstance(phi, And) else np.maximum
         return op(left[:m], right[:m])
     if isinstance(phi, G):
-        return _window(_signal(phi.body, columns, n), phi.interval, np.minimum)
+        return _window(_signal(phi.body, columns, n, leaf), phi.interval, np.minimum)
     if isinstance(phi, F):
-        return _window(_signal(phi.body, columns, n), phi.interval, np.maximum)
+        return _window(_signal(phi.body, columns, n, leaf), phi.interval, np.maximum)
     if isinstance(phi, FG):
-        inner = _window(_signal(phi.body, columns, n), Interval(phi.c2, phi.b), np.minimum)
+        inner = _window(_signal(phi.body, columns, n, leaf), Interval(phi.c2, phi.b), np.minimum)
         return _window(inner, Interval(phi.a, phi.c1), np.maximum)
     raise TypeError(f"unknown formula node {type(phi).__name__}")
 
@@ -159,10 +177,6 @@ def estimate_rho_bounds(psi: Formula, box: Mapping[str, tuple[float, float]],
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"invalid box for {name!r}: [{lo}, {hi}]")
 
-    if not names:
-        value = float(rho_pointwise(psi, {}))
-        return RhoBounds(value, value)
-
     axes = [np.linspace(box[n][0], box[n][1], grid_n) for n in names]
     grids = np.meshgrid(*axes, indexing="ij")
     env = {n: g for n, g in zip(names, grids)}
@@ -179,8 +193,4 @@ def _free_variables(psi: Formula) -> frozenset[str]:
         return _free_variables(psi.arg)
     if isinstance(psi, (And, Or)):
         return _free_variables(psi.left) | _free_variables(psi.right)
-    if isinstance(psi, (F, G)):
-        return _free_variables(psi.body)
-    if isinstance(psi, FG):
-        return _free_variables(psi.body)
     raise TypeError(f"unknown formula node {type(psi).__name__}")

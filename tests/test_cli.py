@@ -250,6 +250,18 @@ def test_any_override_exits_0_or_one_config_error_line(path, tmp_path, monkeypat
     ("training.total_steps=1.5", "training"),
     ('training.epsilon_decay_steps="a"', "training"),
     ("training.batch_size=2.5", "training"),
+    ("environment.tau=NaN", "environment"),
+    ("environment.tau=1e400", "environment"),
+    ("environment.reset.low=[NaN]", "environment"),
+    ("environment.reset.high=[1e400]", "environment"),
+    ('environment.reset={"kind": "fixed", "value": [NaN]}', "environment"),
+    ("environment.constants.g=NaN", "environment"),
+    ("environment.constants.m=1e400", "environment"),
+    ("training.lr=NaN", "training"),
+    ("training.lr=1e400", "training"),
+    ("training.state_scale=[1e400]", "training"),
+    ("spec.rho_bounds.0=[NaN,5]", "spec"),
+    ("spec.rho_bounds.0=[-1e400,5]", "spec"),
 ])
 def test_malformed_value_is_config_error_naming_its_section(override, section, tmp_path,
                                                            monkeypatch, capsys):
@@ -546,3 +558,4 @@ def test_shipped_config_runs_end_to_end(path, tmp_path):
                  "satisfied_so_far"):
         assert np.array_equal(getattr(traj, name), getattr(back, name), equal_nan=True), name
     assert check_satisfaction(ctx.phi, back) == check_satisfaction(ctx.phi, traj)
+    assert traj.satisfied_so_far[-1] == check_satisfaction(ctx.phi, traj).satisfied

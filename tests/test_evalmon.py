@@ -45,11 +45,12 @@ class _ConstantAgent:
         return q
 
 
-def synthetic_trajectory(values, phi, spec, schema=("x",)):
+def synthetic_trajectory(values, phi, spec=None, schema=("x",)):
     n = len(values)
     states = np.asarray(values, dtype=float).reshape(n, -1)
+    psis = spec.psis if spec is not None else ()
     rho = np.array([[float(rho_pointwise(p, dict(zip(schema, row))))
-                     for p in spec.psis] for row in states])
+                     for p in psis] for row in states]).reshape(n, len(psis))
     traj = Trajectory(
         schema=tuple(schema), states=states,
         actions=np.full(n, -1, dtype=np.int64), rewards=np.zeros(n),
@@ -369,14 +370,42 @@ def test_prefix_satisfaction_g_flags_from_violation_onward():
     assert traj.satisfied_so_far.tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
-def test_prefix_satisfaction_f_fails_only_after_window():
+def test_prefix_satisfaction_f_fails_at_window_end():
     phi = parse_formula("F[0,2](x >= 1)", ["x"])
     sched = build_schedule(phi, [RhoBounds(-3.0, 3.0)], 4)
     spec = RewardSpec(schedule=sched, psis=(temporal_conjuncts(phi)[0].body,),
                       mode=MODE_FUNNEL)
     traj = synthetic_trajectory([0.0, 0.0, 0.0, 5.0, 5.0], phi, spec)
-    # The window [0,2] passes without a hit; failure shows from step 3 on.
-    assert traj.satisfied_so_far.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+    # The window [0,2] has no hit: step 2, its last candidate, shows the failure.
+    assert traj.satisfied_so_far.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def _flags(formula, values):
+    """satisfied_so_far and the verdict of formula on the x values."""
+    phi = parse_formula(formula, ["x"])
+    traj = synthetic_trajectory(values, phi)
+    return traj.satisfied_so_far.tolist(), check_satisfaction(phi, traj).satisfied
+
+
+def test_prefix_satisfaction_fg_drops_after_last_candidate_window():
+    # Candidate windows [t', t'+3] for t' in 0..4 each hold a -1; the last one,
+    # [4, 7], shows its first negative step at 5. A single holding step in the
+    # footprint does not keep the flag up.
+    flags, satisfied = _flags("F[0,4]G[0,3](x >= 0)", [1.0, -1.0] * 6 + [1.0])
+    assert flags == [1.0] * 5 + [0.0] * 8
+    assert not satisfied
+
+
+def test_prefix_satisfaction_f_window_ending_at_horizon_drops():
+    flags, satisfied = _flags("F[0,4](x >= 1)", [0.0] * 5)
+    assert flags == [1.0, 1.0, 1.0, 1.0, 0.0]
+    assert not satisfied
+
+
+def test_prefix_satisfaction_negated_temporal_keeps_all_ones():
+    # Outside the fragment: a negation above G has no violation step.
+    flags, _ = _flags("!G[0,2](x >= 0)", [1.0, 1.0, 1.0])
+    assert flags == [1.0, 1.0, 1.0]
 
 
 # CSV round trip ---------------------------------------------------------------

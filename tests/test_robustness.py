@@ -3,14 +3,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stlfunnel.robustness import (
     RhoBounds, TemporalInPointwiseError, estimate_rho_bounds, rho_pointwise, rho_trace,
+    violation_step,
 )
 from stlfunnel.stl.expr import Abs, Const, Norm2, Sub, Var
 from stlfunnel.stl.formula import (
     FG, And, Atom, F, Formula, G, Interval, Not, Or, TrueFormula, formula_horizon,
+    is_nontemporal,
 )
 from stlfunnel.stl.parser import parse_formula
 
@@ -251,6 +253,76 @@ def test_array_evaluator_equals_recursion_at_every_step(phi, extra, seed, quanti
         assert rho_trace(phi, columns, t) == want
     with pytest.raises(ValueError, match="too short"):
         rho_trace(phi, columns, extra + 1)
+
+
+def oracle_prefix_rho(phi, trace, t, memo):
+    """oracle_rho of phi at step t on every prefix of trace at once: entry k is
+    the robustness with every non-temporal sub-formula +inf after step k (and
+    past the end of the trace). phi must not negate a temporal operator."""
+    key = (id(phi), t)
+    if key in memo:
+        return memo[key]
+    k = np.arange(len(trace))
+    if is_nontemporal(phi):
+        out = np.where(k >= t, oracle_rho(phi, trace, t) if t < len(trace) else math.inf,
+                       math.inf)
+    elif isinstance(phi, (And, Or)):
+        op = np.minimum if isinstance(phi, And) else np.maximum
+        out = op(oracle_prefix_rho(phi.left, trace, t, memo),
+                 oracle_prefix_rho(phi.right, trace, t, memo))
+    elif isinstance(phi, (F, G)):
+        op = np.maximum if isinstance(phi, F) else np.minimum
+        out = np.full(len(k), -math.inf if isinstance(phi, F) else math.inf)
+        for u in range(t + phi.interval.lo, t + phi.interval.hi + 1):
+            out = op(out, oracle_prefix_rho(phi.body, trace, u, memo))
+    elif isinstance(phi, FG):
+        out = np.full(len(k), -math.inf)
+        for u in range(t + phi.a, t + phi.c1 + 1):
+            worst = np.full(len(k), math.inf)
+            for v in range(u + phi.c2, u + phi.b + 1):
+                worst = np.minimum(worst, oracle_prefix_rho(phi.body, trace, v, memo))
+            out = np.maximum(out, worst)
+    else:
+        raise TypeError(type(phi))
+    memo[key] = out
+    return out
+
+
+def negates_temporal(phi) -> bool:
+    if isinstance(phi, Not):
+        return not is_nontemporal(phi.arg)
+    if isinstance(phi, (And, Or)):
+        return negates_temporal(phi.left) or negates_temporal(phi.right)
+    if isinstance(phi, (F, G, FG)):
+        return negates_temporal(phi.body)
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=formulas(3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_violation_step_equals_prefix_oracle_at_every_step(phi, seed, data):
+    assume(not negates_temporal(phi))
+    horizon = formula_horizon(phi)
+    # Traces both shorter and longer than the formula horizon.
+    n = data.draw(st.integers(1, horizon + 6), label="length")
+    values = np.random.default_rng(seed).integers(-6, 7, size=(n, len(SCHEMA))) / 2
+    trace = [dict(zip(SCHEMA, row.tolist())) for row in values]
+    columns = {name: values[:, j] for j, name in enumerate(SCHEMA)}
+    first_bad = violation_step(phi, columns)
+    assert violation_step(phi, trace) == first_bad
+    flags = np.arange(n) < first_bad
+    assert flags.tolist() == (oracle_prefix_rho(phi, trace, 0, {}) >= 0).tolist()
+    if n - 1 >= horizon:
+        assert flags[-1] == (rho_trace(phi, columns, 0) >= 0)
+
+
+def test_violation_step_examples():
+    x = _ramp_trace([1, -1, 2, 0, -3])
+    assert violation_step(G(Interval(2, 4), Atom(h=Var("x"))), x) == 4
+    assert violation_step(F(Interval(0, 1), Atom(h=Var("x"))), x) == math.inf
+    assert violation_step(F(Interval(1, 1), Atom(h=Var("x"))), x) == 1
+    # An F window that runs past the trace has not failed yet.
+    assert violation_step(F(Interval(3, 6), Atom(h=Sub(Var("x"), Const(5)))), x) == math.inf
 
 
 def test_wide_fg_window_is_fast():
