@@ -37,14 +37,20 @@ class TrajectoryError(ValueError):
 
 @dataclass
 class Trajectory:
+    """States of one episode and, from a rollout, its monitor columns.
+
+    A rollout fills every field; read_trajectory_csv fills only schema,
+    states and metadata and leaves the monitor columns None.
+    """
+
     schema: tuple[str, ...]
-    states: np.ndarray          # (H+1, d)
-    actions: np.ndarray         # (H+1,), last entry -1
-    rewards: np.ndarray         # (H+1,)
-    rho_psi: np.ndarray         # (H+1, n_psi)
-    gamma_lower: np.ndarray     # (H+1,), NaN where no segment is active
-    margin: np.ndarray          # (H+1,), funnel margin, NaN where inactive
-    satisfied_so_far: np.ndarray  # (H+1,) of 0/1
+    states: np.ndarray                       # (H+1, d)
+    actions: np.ndarray | None = None        # (H+1,), last entry -1
+    rewards: np.ndarray | None = None        # (H+1,)
+    rho_psi: np.ndarray | None = None        # (H+1, n_psi)
+    gamma_lower: np.ndarray | None = None    # (H+1,), NaN where no segment is active
+    margin: np.ndarray | None = None         # (H+1,), funnel margin, NaN where inactive
+    satisfied_so_far: np.ndarray | None = None  # (H+1,) of 0/1
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -153,63 +159,55 @@ def export_csv(traj: Trajectory, path, metadata_path=None):
 
 
 def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
-    """Load a trajectory CSV; only t and the state columns are required.
+    """Load the t and state columns of a trajectory CSV, as monitoring needs.
 
-    Raises TrajectoryError for a file that does not decode as text, a missing
-    column, a row whose field count differs from the header's, a t column that
-    is not 0, 1, ..., n-1 in order, a cell that is not a number, or a NaN or
-    infinite state cell.
+    Only t and the columns named in schema are required or converted: other
+    columns are neither parsed nor checked, and every field of the result but
+    schema, states and metadata is None. Raises TrajectoryError for a file
+    that does not decode as text, a missing column, no data rows, a row whose
+    field count differs from the header's, a t column that is not 0, 1, ...,
+    n-1 in order, or a state cell that is not a finite number.
     """
     try:
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            header, *lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise TrajectoryError(f"trajectory CSV is not text: {exc}") from None
+    header = header.strip().split(",")
     for name in ("t", *schema):
         if name not in header:
             raise TrajectoryError(f"trajectory CSV is missing column {name!r}")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise TrajectoryError(
-                f"trajectory CSV data row {i + 1} has {len(row)} fields, "
-                f"the header has {len(header)}")
-    idx = {name: header.index(name) for name in header}
-    n = len(rows)
-    t, steps = [r[idx["t"]] for r in rows], [str(i) for i in range(n)]
+    rows = [line for line in map(str.strip, lines) if line]
+    if not rows:
+        raise TrajectoryError("trajectory CSV has no data rows")
+    commas = [row.count(",") for row in rows]
+    if commas.count(len(header) - 1) != len(rows):
+        i = next(i for i, c in enumerate(commas) if c != len(header) - 1)
+        raise TrajectoryError(
+            f"trajectory CSV data row {i + 1} has {commas[i] + 1} fields, "
+            f"the header has {len(header)}")
+    t_col, *state_cols = [header.index(name) for name in ("t", *schema)]
+    # Split each row only as far as the last column that is read.
+    last = max(t_col, *state_cols)
+    columns = list(zip(*[row.split(",", last + 1) for row in rows]))
+    t, steps = columns[t_col], tuple(map(str, range(len(rows))))
     if t != steps:
         i = next(i for i, (got, want) in enumerate(zip(t, steps)) if got != want)
         raise TrajectoryError(
             f"trajectory CSV column 't' reads {t[i]!r} at data row {i + 1}, expected {i}")
-
-    def col(name, default=np.nan, dtype=float):
-        if name not in idx:
-            return np.full(n, default)
-        j = idx[name]
+    states = np.empty((len(rows), len(schema)))
+    for j, (name, k) in enumerate(zip(schema, state_cols)):
         try:
-            return np.array([dtype(r[j]) for r in rows])
+            states[:, j] = np.fromiter(map(float, columns[k]), float, len(rows))
         except ValueError as exc:
             raise TrajectoryError(f"trajectory CSV column {name!r}: {exc}") from None
-
-    states = np.column_stack([col(name) for name in schema])
     bad = np.argwhere(~np.isfinite(states))
     if len(bad):
         i, j = bad[0]
         raise TrajectoryError(
             f"trajectory CSV has non-finite {schema[j]!r} value "
-            f"{rows[i][idx[schema[j]]]!r} at data row {i + 1}")
-    n_psi = sum(1 for h in header if h.startswith("rho_psi_"))
-    rho = np.full((n, max(n_psi, 1)), np.nan)
-    for i in range(n_psi):
-        rho[:, i] = col(f"rho_psi_{i}")
-    return Trajectory(
-        schema=tuple(schema), states=states,
-        actions=col("action", default=-1, dtype=lambda x: np.int64(int(x))).astype(np.int64),
-        rewards=col("reward"), rho_psi=rho,
-        gamma_lower=col("gamma_lower"), margin=col("margin"),
-        satisfied_so_far=col("satisfied_so_far"),
-        metadata={"source": str(path)},
-    )
+            f"{columns[state_cols[j]][i]!r} at data row {i + 1}")
+    return Trajectory(schema=tuple(schema), states=states, metadata={"source": str(path)})
 
 
 def export_funnel_csv(schedule: FunnelSchedule, path):

@@ -203,8 +203,15 @@ def _as_temporal_conjunct(f: Formula) -> TemporalConjunct:
             raise FragmentError("nested temporal operator inside F-G form is outside the fragment")
         return TemporalConjunct(
             kind="FG", footprint=Interval(f.a, f.c1 + f.b), body=f.body, node=f)
+    if is_nontemporal(f):
+        raise FragmentError(
+            f"top-level conjunct {f.pretty()} has no temporal operator; the fragment "
+            "needs each conjunct to be one F, G or F-G operator")
+    # f is one top-level conjunct, so no And: an Or or a Not over a temporal operator.
+    kind = "disjunction" if isinstance(f, Or) else "negation"
     raise FragmentError(
-        f"top-level conjunct {f.pretty()} is neither a temporal operator nor non-temporal")
+        f"top-level conjunct {f.pretty()} is a {kind} over a temporal operator, "
+        "which is outside the fragment")
 
 
 def temporal_conjuncts(f: Formula) -> list[TemporalConjunct]:

@@ -1,3 +1,8 @@
+from pathlib import Path
+
+import numpy as np
+import pytest
+
 criterion_lines: list[str] = []
 
 
@@ -8,3 +13,23 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in criterion_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def assert_monitor_columns_exact():
+    """Check that every non-state column of an exported trajectory CSV holds
+    the rollout's values exactly. The CSV is parsed here, one float per cell,
+    because read_trajectory_csv converts only t and the state columns."""
+    def check(traj, path):
+        header, *rows = Path(path).read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        got = {name: np.array([float(r[j]) for r in cells])
+               for j, name in enumerate(header.split(","))}
+        want = {"action": traj.actions, "reward": traj.rewards,
+                **{f"rho_psi_{i}": col for i, col in enumerate(traj.rho_psi.T)},
+                "gamma_lower": traj.gamma_lower, "margin": traj.margin,
+                "satisfied_so_far": traj.satisfied_so_far}
+        assert header.split(",") == ["t", *traj.schema, *want]
+        for name, values in want.items():
+            assert np.array_equal(values, got[name], equal_nan=True), name
+    return check

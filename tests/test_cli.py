@@ -279,6 +279,46 @@ def test_missing_key_names_section_and_key(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: environment: missing required key 'kind'\n"
 
 
+def monitor_verdict(tmp_path, capsys, text: str):
+    cfg, _ = write_config(tmp_path)
+    traj = tmp_path / "traj.csv"
+    traj.write_text(text)
+    code = main(["monitor", "--config", str(cfg), "--trajectory", str(traj)])
+    out = capsys.readouterr().out
+    verdict = json.loads(out)
+    del verdict["trajectory"]
+    return code, verdict
+
+
+def test_monitor_reads_only_t_and_state_columns(tmp_path, capsys):
+    # monitor neither requires nor parses the columns that are not states.
+    rows = [f"{t},{0.1 * t + 0.05:.17g},3,-0.5,{0.1 * t - 0.15:.17g}" for t in range(9)]
+    clean = "t,x,action,reward,rho_psi_0\n" + "\n".join(rows) + "\n"
+    bad_reward = clean.replace(",-0.5,", ",abc,")
+    no_rho = "\n".join(line.rsplit(",", 1)[0] for line in clean.splitlines()) + "\n"
+    assert "abc" in bad_reward and "rho_psi_0" not in no_rho
+    code, want = monitor_verdict(tmp_path, capsys, clean)
+    assert code == EXIT_OK and want["satisfied"] is True
+    for text in (bad_reward, no_rho):
+        assert monitor_verdict(tmp_path, capsys, text) == (EXIT_OK, want)
+
+
+@pytest.mark.parametrize("formula, reason", [
+    ("x >= 0", "top-level conjunct x >= 0 has no temporal operator"),
+    ("x >= 0 | G[0,2](x >= 1)", "is a disjunction over a temporal operator"),
+    ("!G[0,2](x >= 0)", "is a negation over a temporal operator"),
+])
+def test_formula_outside_fragment_names_the_reason(formula, reason, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_override(f"spec.formula={json.dumps(formula)}") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: spec.formula: ")
+    assert reason in err
+    assert "neither" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_trajectory_is_io_error(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     assert main(["monitor", "--config", str(cfg),
@@ -297,8 +337,10 @@ def test_missing_trajectory_is_io_error(tmp_path, capsys):
     (b"t,x\n1,1.0\n0,1.0\n", "column 't' reads '1' at data row 1, expected 0"),
     (b"t,x\n0,1.0\n2,1.0\n", "column 't' reads '2' at data row 2, expected 1"),
     (b"t,x\n0,1.0\n0,1.0\n", "column 't' reads '0' at data row 2, expected 1"),
+    (b"t,x\n", "trajectory CSV has no data rows"),
+    (b"t,x\n0,1.0\n1,1.0,\n", "data row 2 has 3 fields, the header has 2"),
 ], ids=["too-short", "missing-column", "non-numeric", "nan", "inf", "ragged-row", "not-text",
-        "t-reversed", "t-gap", "t-duplicate"])
+        "t-reversed", "t-gap", "t-duplicate", "no-rows", "trailing-comma"])
 def test_bad_trajectory_is_one_line_error(tmp_path, capsys, csv_bytes, message):
     cfg, _ = write_config(tmp_path)
     traj = tmp_path / "bad.csv"
@@ -538,7 +580,7 @@ def test_load_config_rejects_non_object(tmp_path):
 # shipped configs ----------------------------------------------------------------
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
-def test_shipped_config_runs_end_to_end(path, tmp_path):
+def test_shipped_config_runs_end_to_end(path, tmp_path, assert_monitor_columns_exact):
     ctx = build_run(load_config(path))
     out = tmp_path / "out"
     common = ["--config", str(path), "--out", str(out)]
@@ -554,8 +596,7 @@ def test_shipped_config_runs_end_to_end(path, tmp_path):
     traj = rollout(agent, ctx.env, ctx.reward_spec, seed=[0, 1], phi=ctx.phi)
     export_csv(traj, out / "traj.csv")
     back = read_trajectory_csv(out / "traj.csv", list(ctx.env.schema))
-    for name in ("states", "actions", "rewards", "rho_psi", "gamma_lower", "margin",
-                 "satisfied_so_far"):
-        assert np.array_equal(getattr(traj, name), getattr(back, name), equal_nan=True), name
+    assert np.array_equal(traj.states, back.states)
+    assert_monitor_columns_exact(traj, out / "traj.csv")
     assert check_satisfaction(ctx.phi, back) == check_satisfaction(ctx.phi, traj)
     assert traj.satisfied_so_far[-1] == check_satisfaction(ctx.phi, traj).satisfied

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stlfunnel.config import build_run, load_config
 from stlfunnel.dqn import NeuralAgent, TrainConfig, epsilon_greedy, train
@@ -410,7 +411,7 @@ def test_prefix_satisfaction_negated_temporal_keeps_all_ones():
 
 # CSV round trip ---------------------------------------------------------------
 
-def test_trajectory_csv_round_trip_exact(tmp_path):
+def test_trajectory_csv_round_trip_exact(tmp_path, assert_monitor_columns_exact):
     env, phi, spec = integrator_problem()
     agent = _ConstantAgent(env.grid.index_of((0.5,)), env.n_actions)
     traj = rollout(agent, env, spec, seed=3, phi=phi)
@@ -419,11 +420,7 @@ def test_trajectory_csv_round_trip_exact(tmp_path):
     export_csv(traj, path, metadata_path=meta)
     back = read_trajectory_csv(path, list(env.schema))
     assert np.array_equal(traj.states, back.states)
-    assert np.array_equal(traj.actions, back.actions)
-    assert np.array_equal(traj.rewards, back.rewards)
-    np.testing.assert_array_equal(traj.rho_psi, back.rho_psi)
-    np.testing.assert_array_equal(traj.gamma_lower, back.gamma_lower)
-    np.testing.assert_array_equal(traj.margin, back.margin)
+    assert_monitor_columns_exact(traj, path)
     assert meta.exists()
 
 
@@ -449,8 +446,43 @@ def test_read_trajectory_minimal_columns(tmp_path):
     path.write_text("t,x\n0,1.5\n1,2.5\n")
     traj = read_trajectory_csv(path, ["x"])
     assert traj.states[:, 0] == pytest.approx([1.5, 2.5])
-    assert traj.actions.tolist() == [-1, -1]
-    assert np.isnan(traj.rewards).all()
+    for name in ("actions", "rewards", "rho_psi", "gamma_lower", "margin",
+                 "satisfied_so_far"):
+        assert getattr(traj, name) is None, name
+
+
+# Each variant spells the states [[1.5, 10.0], [2.5, -3.0]] of columns x, y.
+@pytest.mark.parametrize("text", [
+    "t,x,y,reward\r\n0,1.5,10,0\r\n1,2.5,-3,0\r\n",
+    "t,x,y,reward\n0,1.5,10,0\n\n1,2.5,-3,0\n",
+    "t,x,y,reward\n0, 1.5,10,0\n1,2.5, -3,0\n",
+    " t,x,y,reward\n 0,1.5,10,0\n 1,2.5,-3,0\n",
+    "t,x,y,reward\n0,1.5,1_0,0\n1,2.5,-3,0\n",
+    "t,x,y\n0,1.5,10\n1,2.5,-3",
+], ids=["crlf", "blank-line", "space-before-cell", "space-before-t", "underscore",
+        "no-final-newline"])
+def test_read_trajectory_accepts_csv_variants(tmp_path, text):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(text.encode())
+    traj = read_trajectory_csv(path, ["x", "y"])
+    assert traj.states.tolist() == [[1.5, 10.0], [2.5, -3.0]]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=20))
+@example([(-0.0, 5e-324), (np.finfo(float).max, -np.finfo(float).max),
+          (2.2250738585072009e-308, -4.9406564584124654e-324)])
+def test_read_trajectory_states_round_trip_exactly(tmp_path_factory, rows):
+    states = np.array(rows, dtype=float)
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    path.write_text("t,x,action,y\n" + "".join(
+        f"{i},{x:.17g},-1,{y:.17g}\n" for i, (x, y) in enumerate(rows)))
+    back = read_trajectory_csv(path, ["x", "y"])
+    assert np.array_equal(back.states, states)
+    assert np.array_equal(np.signbit(back.states), np.signbit(states))
 
 
 # Funnel CSV -------------------------------------------------------------------
