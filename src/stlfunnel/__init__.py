@@ -5,7 +5,7 @@ from .stl.parser import parse_formula, ParseError
 from .stl.formula import FragmentClass, FragmentError, classify_fragment
 from .robustness import RhoBounds, estimate_rho_bounds, rho_pointwise, rho_trace
 from .funnel import FunnelParams, FunnelSchedule, FunnelSegment, build_schedule, synth_l
-from .reward import RewardSpec, reward, reward_sign_check
+from .reward import RewardSpec, reward
 from .envs import EnvConfig, make_env
 from .dqn import TrainConfig, train
 

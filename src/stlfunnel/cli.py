@@ -4,9 +4,9 @@ Subcommands: funnel (synthesize and dump the funnel schedule), train (run
 time-aware Q-learning), eval (greedy evaluation episodes + trajectory CSVs),
 monitor (offline satisfaction check of a trajectory CSV). Every command takes
 --config, optional --seed/--out, and repeatable --set dot.path=value
-overrides. Exit codes: 0 success, 2 config error, 3 runtime divergence,
-4 I/O error, a trajectory that cannot be monitored or a checkpoint that
-cannot be loaded.
+overrides. Exit codes: 0 success, 2 config error, 3 diverging dynamics or
+loss in training or evaluation, 4 I/O error, a trajectory that cannot be
+monitored or a checkpoint that cannot be loaded.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -49,7 +49,7 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")

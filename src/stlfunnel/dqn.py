@@ -16,7 +16,6 @@ import logging
 import os
 import zipfile
 from dataclasses import dataclass, field, asdict
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .reward import RewardSpec, reward
 from .stl.formula import Formula
 
 __all__ = [
-    "ReplayBuffer", "TrainConfig", "NeuralAgent", "TabularAgent",
+    "ReplayBuffer", "TrainConfig", "NeuralAgent",
     "epsilon_greedy", "epsilon_at", "td_target", "train", "TrainingDiverged",
     "save_checkpoint", "load_checkpoint", "CheckpointError", "TrainLogRow",
 ]
@@ -269,41 +268,6 @@ def td_target(batch: dict, agent, discount: float, horizon: int) -> np.ndarray:
     y = np.asarray(batch["r"], dtype=np.float64).copy()
     y[~terminal] += discount * q_next.max(axis=1)[~terminal]
     return y
-
-
-class TabularAgent:
-    """Table-backed Q-function sharing the NeuralAgent interface; used to
-    validate the training loop against exact finite-horizon value iteration."""
-
-    def __init__(self, n_states: int, n_actions: int, horizon: int,
-                 state_to_index: Callable[[np.ndarray], int], lr: float = 1.0):
-        self.q = np.zeros((n_states, n_actions, horizon + 1))
-        self.target_q = np.zeros_like(self.q)
-        self.horizon = horizon
-        self.n_actions = n_actions
-        self.state_to_index = state_to_index
-        self.lr = lr
-
-    def q_values(self, s, t) -> np.ndarray:
-        return self.q[self.state_to_index(s), :, t]
-
-    def target_q_batch(self, S, T) -> np.ndarray:
-        idx = [self.state_to_index(s) for s in np.atleast_2d(S)]
-        return self.target_q[idx, :, np.asarray(T)]
-
-    def sync_target(self):
-        np.copyto(self.target_q, self.q)
-
-    def update(self, batch: dict, discount: float) -> float:
-        y = td_target(batch, self, discount, self.horizon)
-        errs = []
-        for i in range(len(y)):
-            si = self.state_to_index(batch["s"][i])
-            a, t = int(batch["a"][i]), int(batch["t"][i])
-            err = y[i] - self.q[si, a, t]
-            self.q[si, a, t] += self.lr * err
-            errs.append(err * err)
-        return float(np.mean(errs))
 
 
 @dataclass

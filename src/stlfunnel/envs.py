@@ -35,15 +35,6 @@ class ActionGrid:
             raise IndexError(f"action index {index} out of range [0,{self.n})")
         return self._tuples[index]
 
-    def index_of(self, values: Sequence[float]) -> int:
-        multi = []
-        for ax, v in zip(self.axes, values):
-            hits = np.nonzero(np.isclose(ax, v))[0]
-            if len(hits) == 0:
-                raise ValueError(f"value {v} not on action axis {ax}")
-            multi.append(int(hits[0]))
-        return int(np.ravel_multi_index(tuple(multi), self.shape))
-
 
 def _arange_inclusive(lo: float, hi: float, step: float) -> np.ndarray:
     n = int(round((hi - lo) / step)) + 1
@@ -163,12 +154,6 @@ class PendulumEnv(Environment):
         omega_next = omega + tau * (self._g_over_l * math.sin(theta)
                                     - self._mu_over_ml2 * omega + torque / self._ml2)
         return np.array([theta_next, omega_next])
-
-    def energy(self, state) -> float:
-        """Total mechanical energy, zero at the hanging-down rest state."""
-        theta, omega = state
-        m, l, g = self.constants["m"], self.constants["l"], self.constants["g"]
-        return 0.5 * m * l * l * omega * omega + m * g * l * (1.0 + math.cos(theta))
 
 
 class DiffDriveEnv(Environment):

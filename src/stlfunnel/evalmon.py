@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dqn import epsilon_greedy
+from .dqn import TrainingDiverged, epsilon_greedy
 from .envs import Environment
 from .funnel import FunnelSchedule
 from .reward import RewardSpec, funnel_columns, robustness_columns
@@ -71,7 +71,8 @@ def rollout(agent, env: Environment, spec: RewardSpec, seed=0,
     """Roll the policy out for one episode, recording monitor fields.
 
     The loop only steps the policy; the reward, robustness and margin columns
-    are computed once from the state array afterwards.
+    are computed once from the state array afterwards. Raises
+    TrainingDiverged at the first non-finite state.
     """
     horizon = env.horizon
     if spec.horizon != horizon:
@@ -84,7 +85,7 @@ def rollout(agent, env: Environment, spec: RewardSpec, seed=0,
     s = env.reset(rng)
     for t in range(horizon + 1):
         if not np.isfinite(s).all():
-            raise RuntimeError(f"non-finite state at step {t}: dynamics diverged")
+            raise TrainingDiverged(f"non-finite state at step {t}: dynamics diverged")
         states[t] = s
         if t == horizon:
             break
@@ -173,7 +174,7 @@ def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
             header, *lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise TrajectoryError(f"trajectory CSV is not text: {exc}") from None
-    header = header.strip().split(",")
+    header = [name.strip() for name in header.split(",")]
     for name in ("t", *schema):
         if name not in header:
             raise TrajectoryError(f"trajectory CSV is missing column {name!r}")
@@ -191,6 +192,8 @@ def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
     last = max(t_col, *state_cols)
     columns = list(zip(*[row.split(",", last + 1) for row in rows]))
     t, steps = columns[t_col], tuple(map(str, range(len(rows))))
+    if t != steps:  # compare again without the blanks a ", " separator leaves
+        t = tuple(map(str.strip, t))
     if t != steps:
         i = next(i for i, (got, want) in enumerate(zip(t, steps)) if got != want)
         raise TrajectoryError(
@@ -211,15 +214,17 @@ def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
 
 
 def export_funnel_csv(schedule: FunnelSchedule, path):
-    """Per-step funnel data: one row per (step, active segment)."""
-    header = ["t", "segment", "psi_index", "gamma", "lower_bound", "rho_max"]
+    """Per-step funnel data: one row per (step, active segment), in step order."""
+    steps, seg_ids = np.nonzero(schedule.active_mask.T)
+    segments = schedule.segments
+    gamma = np.empty(len(steps))
+    for j, seg in enumerate(segments):
+        rows = seg_ids == j
+        gamma[rows] = seg.gamma_table[steps[rows] - seg.t_begin]
+    psi_index = np.array([seg.psi_index for seg in segments])[seg_ids]
+    rho_max = np.array([seg.params.rho_max for seg in segments])[seg_ids]
+    table = np.column_stack([steps, seg_ids, psi_index, gamma, -gamma + rho_max, rho_max])
+    row = ",".join(["%d", "%d", "%d", _FMT, _FMT, _FMT]) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t in range(schedule.horizon + 1):
-            for seg in schedule.active_segments(t):
-                seg_id = schedule.segments.index(seg)
-                fh.write(",".join([
-                    str(t), str(seg_id), str(seg.psi_index),
-                    _FMT % seg.gamma(t), _FMT % seg.lower_bound(t),
-                    _FMT % seg.params.rho_max,
-                ]) + "\n")
+        fh.write("t,segment,psi_index,gamma,lower_bound,rho_max\n")
+        fh.write("".join([row % tuple(r) for r in table.tolist()]))

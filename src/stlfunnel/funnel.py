@@ -15,7 +15,6 @@ interval and rewards compose later by pointwise minimum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,13 +66,6 @@ class FunnelSegment:
     psi_index: int
     kind: str  # "F" | "G" | "FG"
     obligation: Interval
-
-    def gamma(self, t: int) -> float:
-        return gamma_eval(self, t)
-
-    def lower_bound(self, t: int) -> float:
-        """Lower robustness bound -gamma(t) + rho_max enforced at step t."""
-        return -gamma_eval(self, t) + self.params.rho_max
 
     @cached_property
     def gamma_table(self) -> np.ndarray:
@@ -209,9 +201,6 @@ class FunnelSchedule:
                 for s in self.segments
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _conjunct_locals(c: TemporalConjunct, shift: int) -> dict:

@@ -19,17 +19,10 @@ from .funnel import FunnelSchedule, FunnelSegment
 from .robustness import StateVector, rho_pointwise
 from .stl.formula import Formula
 
-__all__ = [
-    "RewardSpec", "reward", "reward_sign_check", "NoActiveSegmentError", "segment_margin",
-    "per_psi_robustness", "robustness_columns", "funnel_columns",
-]
+__all__ = ["RewardSpec", "reward", "segment_margin", "robustness_columns", "funnel_columns"]
 
 MODE_FUNNEL = "funnel"
 MODE_ABLATION = "ablation-no-funnel"
-
-
-class NoActiveSegmentError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -59,10 +52,6 @@ def segment_margin(seg: FunnelSegment, rho, t):
     return rho + seg.gamma_table[t - seg.t_begin] - seg.params.rho_max
 
 
-def _margin(spec: RewardSpec, seg: FunnelSegment, s: StateVector, t: int) -> float:
-    return float(segment_margin(seg, float(rho_pointwise(spec.psis[seg.psi_index], s)), t))
-
-
 def reward(spec: RewardSpec, s: StateVector, t: int) -> float:
     """Shaped reward at (s, t); steps covered by no segment yield 0."""
     if t < 0 or t > spec.horizon:
@@ -74,25 +63,8 @@ def reward(spec: RewardSpec, s: StateVector, t: int) -> float:
         # Raw robustness of the first owning segment; no funnel term.
         seg = active[0]
         return float(rho_pointwise(spec.psis[seg.psi_index], s))
-    return min(_margin(spec, seg, s, t) for seg in active)
-
-
-def reward_sign_check(spec: RewardSpec, s: StateVector, t: int) -> tuple[str, float]:
-    """Diagnostic: is the state inside the funnel's lower bound at step t?
-
-    Returns ("inside" | "below", margin) where margin is the funnel-mode
-    reward; a zero margin sits on the boundary and counts as inside.
-    """
-    active = spec.schedule.active_segments(t)
-    if not active:
-        raise NoActiveSegmentError(f"no active segment at step {t}")
-    margin = min(_margin(spec, seg, s, t) for seg in active)
-    return ("inside" if margin >= 0 else "below"), margin
-
-
-def per_psi_robustness(spec: RewardSpec, s: StateVector) -> list[float]:
-    """Pointwise robustness of every sub-formula at state s."""
-    return [float(rho_pointwise(p, s)) for p in spec.psis]
+    return min(float(segment_margin(seg, float(rho_pointwise(spec.psis[seg.psi_index], s)), t))
+               for seg in active)
 
 
 def robustness_columns(spec: RewardSpec, states: np.ndarray,
@@ -100,8 +72,8 @@ def robustness_columns(spec: RewardSpec, states: np.ndarray,
     """(n, n_psi) pointwise robustness of every sub-formula at each row of states.
 
     Expression evaluation broadcasts over the state columns and uses only
-    correctly rounded operations, so row t equals per_psi_robustness of
-    state t bit for bit.
+    correctly rounded operations, so entry (t, i) equals rho_pointwise of
+    sub-formula i at state t bit for bit.
     """
     columns = {name: states[:, i] for i, name in enumerate(schema)}
     out = np.empty((len(states), len(spec.psis)))

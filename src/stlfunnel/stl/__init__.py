@@ -4,4 +4,4 @@ from .formula import (
     Or, TrueFormula, classify_fragment, formula_horizon, is_nontemporal,
     temporal_conjuncts, top_level_conjuncts,
 )
-from .parser import ParseError, parse_expression, parse_formula
+from .parser import ParseError, parse_formula

@@ -24,7 +24,7 @@ import re
 from .expr import Abs, Add, Const, Expr, Neg, Norm2, NormInf, Scale, Sub, Var
 from .formula import FG, Atom, F, Formula, G, Interval, And, Not, Or, TrueFormula
 
-__all__ = ["parse_formula", "parse_expression", "ParseError"]
+__all__ = ["parse_formula", "ParseError"]
 
 
 class ParseError(ValueError):
@@ -290,11 +290,3 @@ def parse_formula(text: str, schema: list[str]) -> Formula:
         parser.error(f"unexpected trailing input {parser.peek().text!r}")
     return formula
 
-
-def parse_expression(text: str, schema: list[str]) -> Expr:
-    """Parse a bare arithmetic expression (no comparison)."""
-    parser = _Parser(_tokenize(text), schema)
-    expr = parser.parse_expr()
-    if parser.peek().kind != "eof":
-        parser.error(f"unexpected trailing input {parser.peek().text!r}")
-    return expr

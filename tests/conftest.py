@@ -6,6 +6,12 @@ import pytest
 criterion_lines: list[str] = []
 
 
+def action_index(grid, values) -> int:
+    """Flat index of the action whose per-axis values are values (to 1e-8)."""
+    multi = [int(np.flatnonzero(np.isclose(ax, v))[0]) for ax, v in zip(grid.axes, values)]
+    return int(np.ravel_multi_index(multi, grid.shape))
+
+
 def pytest_terminal_summary(terminalreporter):
     # Acceptance criteria verdicts are printed inside captured stdout; echo
     # them here so a plain `pytest -v` run shows one line per criterion.

@@ -29,7 +29,7 @@ import conftest
 from test_robustness import oracle_bool, oracle_rho, random_formula, random_trace
 
 from stlfunnel import evalmon
-from stlfunnel.dqn import TabularAgent, TrainConfig, train
+from stlfunnel.dqn import TrainConfig, td_target, train
 from stlfunnel.envs import EnvConfig, make_env
 from stlfunnel.funnel import FunnelParams, build_schedule, gamma_eval, synth_l
 from stlfunnel.mlp import MLP
@@ -278,6 +278,41 @@ class _ChainEnv:
 
     def state_dict(self, state):
         return {"x": float(state[0])}
+
+
+class TabularAgent:
+    """Table-backed Q-function sharing the NeuralAgent interface; validates the
+    training loop against exact finite-horizon value iteration."""
+
+    def __init__(self, n_states: int, n_actions: int, horizon: int, state_to_index,
+                 lr: float = 1.0):
+        self.q = np.zeros((n_states, n_actions, horizon + 1))
+        self.target_q = np.zeros_like(self.q)
+        self.horizon = horizon
+        self.n_actions = n_actions
+        self.state_to_index = state_to_index
+        self.lr = lr
+
+    def q_values(self, s, t) -> np.ndarray:
+        return self.q[self.state_to_index(s), :, t]
+
+    def target_q_batch(self, S, T) -> np.ndarray:
+        idx = [self.state_to_index(s) for s in np.atleast_2d(S)]
+        return self.target_q[idx, :, np.asarray(T)]
+
+    def sync_target(self):
+        np.copyto(self.target_q, self.q)
+
+    def update(self, batch: dict, discount: float) -> float:
+        y = td_target(batch, self, discount, self.horizon)
+        errs = []
+        for i in range(len(y)):
+            si = self.state_to_index(batch["s"][i])
+            a, t = int(batch["a"][i]), int(batch["t"][i])
+            err = y[i] - self.q[si, a, t]
+            self.q[si, a, t] += self.lr * err
+            errs.append(err * err)
+        return float(np.mean(errs))
 
 
 def _chain_spec():

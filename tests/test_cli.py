@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stlfunnel.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from stlfunnel.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from stlfunnel.config import ConfigError, apply_overrides, build_run, load_config
 from stlfunnel.dqn import load_checkpoint
 from stlfunnel.evalmon import check_satisfaction, export_csv, read_trajectory_csv, rollout
@@ -171,6 +171,41 @@ def test_eval_deterministic_trajectories(tmp_path):
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert main(["funnel", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert main(["funnel", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {cfg} is not valid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
+# tau = 1e308 overflows the integrator's state at step 2 of a greedy rollout:
+# the eval episode, or the evaluation train runs at step 0.
+DIVERGING = ["--config", str(CONFIG_DIR / "integrator_reach_stay.json"),
+             "--set", "environment.tau=1e308"]
+
+
+def assert_one_diverged_line(capsys):
+    assert capsys.readouterr().err == "diverged: non-finite state at step 2: dynamics diverged\n"
+
+
+def test_diverging_train_is_one_line_exit_3(tmp_path, capsys):
+    assert main(["train", *DIVERGING, "--out", str(tmp_path),
+                 "--set", "training.total_steps=1"]) == EXIT_DIVERGED
+    assert_one_diverged_line(capsys)
+
+
+def test_diverging_eval_is_one_line_exit_3(tmp_path, capsys):
+    untrained = ["--set", "training.total_steps=0"]
+    assert main(["train", *DIVERGING, *untrained, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", *DIVERGING, *untrained, "--out", str(tmp_path / "eval"),
+                 "--checkpoint", str(tmp_path / "checkpoint.npz"),
+                 "--episodes", "1"]) == EXIT_DIVERGED
+    assert_one_diverged_line(capsys)
 
 
 def test_bad_formula_is_config_error(tmp_path, capsys):

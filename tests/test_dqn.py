@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from stlfunnel.dqn import (
     CheckpointError, NeuralAgent, ReplayBuffer, TrainConfig, epsilon_at,
@@ -97,8 +96,10 @@ def test_replay_sampling_is_uniform():
     rng = np.random.default_rng(7)
     draws = buf.sample(100_000, rng)["a"]
     observed = np.bincount(draws, minlength=100)
-    _, p = stats.chisquare(observed)
-    assert p > 0.01
+    expected = len(draws) / 100
+    chi2 = np.sum((observed - expected) ** 2 / expected)
+    # p > 0.01 at 99 degrees of freedom: below the chi-square 0.99 quantile.
+    assert chi2 < 134.64161685578915
 
 
 def test_replay_empty_sample_rejected():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import action_index
+
 from stlfunnel.envs import (
     ActionGrid, DiffDriveEnv, EnvConfig, IntegratorEnv, PendulumEnv, make_env,
 )
@@ -44,24 +46,27 @@ def test_integrator_velocity_grid():
 
 
 def test_action_grid_round_trip_bijection():
+    # Flat indices follow np.unravel_index order, one distinct tuple each.
     env = diffdrive()
-    for i in range(env.n_actions):
-        assert env.grid.index_of(env.grid.tuple_of(i)) == i
+    tuples = [env.grid.tuple_of(i) for i in range(env.n_actions)]
+    assert len(set(tuples)) == env.n_actions
+    for i, values in enumerate(tuples):
+        multi = np.unravel_index(i, env.grid.shape)
+        assert values == tuple(ax[k] for ax, k in zip(env.grid.axes, multi))
 
 
 def test_action_grid_rejects_bad_index_and_value():
     env = integrator()
-    with pytest.raises(IndexError):
-        env.grid.tuple_of(13)
-    with pytest.raises(ValueError):
-        env.grid.index_of((0.25,))
+    for index in (-1, 13):
+        with pytest.raises(IndexError):
+            env.grid.tuple_of(index)
 
 
 # Pendulum dynamics ------------------------------------------------------------
 
 def test_pendulum_step_horizontal_no_torque():
     env = pendulum()
-    a0 = env.grid.index_of((0.0,))
+    a0 = action_index(env.grid, (0.0,))
     nxt = env.step(np.array([math.pi / 2, 0.0]), a0)
     # theta unchanged this step; omega picks up tau * g/l * sin(theta) = 0.196.
     assert nxt[0] == pytest.approx(math.pi / 2)
@@ -70,7 +75,7 @@ def test_pendulum_step_horizontal_no_torque():
 
 def test_pendulum_step_upright_full_torque():
     env = pendulum()
-    a = env.grid.index_of((3.0,))
+    a = action_index(env.grid, (3.0,))
     nxt = env.step(np.array([0.0, 0.0]), a)
     # omega gains tau * torque / (m l^2) = 0.01 * 3 / 0.0375 = 0.8.
     assert nxt[0] == pytest.approx(0.0)
@@ -79,7 +84,7 @@ def test_pendulum_step_upright_full_torque():
 
 def test_pendulum_step_with_damping():
     env = pendulum()
-    a0 = env.grid.index_of((0.0,))
+    a0 = action_index(env.grid, (0.0,))
     nxt = env.step(np.array([0.0, 2.0]), a0)
     # theta advances by tau * omega; omega loses tau * mu/(m l^2) * omega.
     assert nxt[0] == pytest.approx(0.02)
@@ -93,12 +98,19 @@ def test_pendulum_default_reset_hangs_down():
 
 def test_pendulum_unforced_energy_dissipates():
     env = pendulum()
-    a0 = env.grid.index_of((0.0,))
+    m, l, g = (env.constants[k] for k in ("m", "l", "g"))
+
+    def energy(state):
+        """Total mechanical energy, zero at the hanging-down rest state."""
+        theta, omega = state
+        return 0.5 * m * l * l * omega * omega + m * g * l * (1.0 + math.cos(theta))
+
+    a0 = action_index(env.grid, (0.0,))
     s = np.array([2.0, 0.0])
-    energies = [env.energy(s)]
+    energies = [energy(s)]
     for _ in range(500):
         s = env.step(s, a0)
-        energies.append(env.energy(s))
+        energies.append(energy(s))
     # Euler integration can inject energy transiently; over a long unforced
     # run the damping term must win.
     assert energies[-1] < energies[0]
@@ -106,7 +118,7 @@ def test_pendulum_unforced_energy_dissipates():
 
 def test_pendulum_constant_override():
     env = pendulum(constants={"mu": 0.0})
-    a0 = env.grid.index_of((0.0,))
+    a0 = action_index(env.grid, (0.0,))
     nxt = env.step(np.array([0.0, 2.0]), a0)
     assert nxt[1] == pytest.approx(2.0)
 
@@ -115,14 +127,14 @@ def test_pendulum_constant_override():
 
 def test_diffdrive_step_straight():
     env = diffdrive(tau=0.05)
-    a = env.grid.index_of((5.0, 3.0))
+    a = action_index(env.grid, (5.0, 3.0))
     nxt = env.step(np.array([0.0, 0.0, 0.0]), a)
     assert nxt == pytest.approx([0.25, 0.0, 0.15])
 
 
 def test_diffdrive_step_at_angle():
     env = diffdrive(tau=0.1)
-    a = env.grid.index_of((2.0, -1.0))
+    a = action_index(env.grid, (2.0, -1.0))
     theta = math.pi / 3
     nxt = env.step(np.array([1.0, 2.0, theta]), a)
     assert nxt[0] == pytest.approx(1.0 + 0.1 * 2.0 * math.cos(theta))
@@ -132,7 +144,7 @@ def test_diffdrive_step_at_angle():
 
 def test_diffdrive_heading_not_wrapped():
     env = diffdrive(tau=1.0)
-    a = env.grid.index_of((0.0, 3.0))
+    a = action_index(env.grid, (0.0, 3.0))
     s = np.array([0.0, 0.0, 0.0])
     for _ in range(5):
         s = env.step(s, a)
@@ -143,12 +155,12 @@ def test_diffdrive_heading_not_wrapped():
 
 def test_integrator_step():
     env = integrator(tau=0.1)
-    assert env.step(np.array([25.0]), env.grid.index_of((-3.0,)))[0] == pytest.approx(24.7)
+    assert env.step(np.array([25.0]), action_index(env.grid, (-3.0,)))[0] == pytest.approx(24.7)
 
 
 def test_integrator_linearity():
     env = integrator(tau=0.1)
-    a = env.grid.index_of((2.0,))
+    a = action_index(env.grid, (2.0,))
     rng = np.random.default_rng(0)
     for _ in range(20):
         x1, x2 = rng.uniform(0, 50, 2)

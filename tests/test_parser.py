@@ -8,7 +8,7 @@ from stlfunnel.stl.formula import (
     FG, And, Atom, F, FragmentClass, FragmentError, G, Interval, Not, Or,
     TrueFormula, classify_fragment,
 )
-from stlfunnel.stl.parser import ParseError, parse_expression, parse_formula
+from stlfunnel.stl.parser import ParseError, parse_formula
 
 SCHEMA = ["theta", "omega", "x", "y", "p"]
 
@@ -82,9 +82,9 @@ def test_boolean_structure_and_parens():
 
 
 def test_scale_requires_constant_factor():
-    assert parse_expression("2 * p", ["p"]) == Scale(2.0, Var("p"))
+    assert parse_formula("2 * p >= 0", ["p"]).h == Scale(2.0, Var("p"))
     with pytest.raises(ParseError):
-        parse_expression("p * p", ["p"])
+        parse_formula("p * p >= 0", ["p"])
 
 
 # Fragment classification ------------------------------------------------------

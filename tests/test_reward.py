@@ -8,10 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from stlfunnel.config import build_run, load_config
 from stlfunnel.funnel import build_schedule, gamma_eval
-from stlfunnel.reward import (
-    MODE_ABLATION, MODE_FUNNEL, NoActiveSegmentError, RewardSpec, reward,
-    reward_sign_check,
-)
+from stlfunnel.reward import MODE_ABLATION, MODE_FUNNEL, RewardSpec, reward
 from stlfunnel.robustness import RhoBounds, rho_pointwise
 from stlfunnel.stl.formula import temporal_conjuncts
 from stlfunnel.stl.parser import parse_formula
@@ -111,45 +108,6 @@ def test_ablation_invariant_to_funnel_parameters():
         assert reward(a, s, t) == reward(b, s, t)
 
 
-def test_sign_check_inside(sequential_spec):
-    _, spec = sequential_spec
-    seg = spec.schedule.segments[0]
-    t = 0
-    # rho = -0.2 with a wide-open funnel: inside.
-    s = {"x": 0.8}
-    label, margin = reward_sign_check(spec, s, t)
-    assert label == "inside"
-    assert margin > 0
-    assert math.isclose(margin, reward(spec, s, t), rel_tol=1e-12)
-
-
-def test_sign_check_boundary_counts_inside(sequential_spec):
-    _, spec = sequential_spec
-    seg = spec.schedule.segments[0]
-    t = 2
-    lower = seg.lower_bound(t)
-    s = {"x": 1.0 + lower}  # rho exactly on the moving lower bound
-    label, margin = reward_sign_check(spec, s, t)
-    assert label == "inside"
-    assert abs(margin) <= 1e-12
-
-
-def test_sign_check_below(sequential_spec):
-    _, spec = sequential_spec
-    s = {"x": -3.0}
-    label, margin = reward_sign_check(spec, s, 0)
-    assert label == "below"
-    assert margin < 0
-
-
-def test_sign_check_requires_active_segment():
-    _, spec = make_spec("G[0,10](x >= 1) & G[5,20](x >= 2)", ["x"],
-                        [RhoBounds(-1.0, 1.0)] * 2, 60,
-                        t_star_overrides={0: 2, 1: 2})
-    with pytest.raises(NoActiveSegmentError):
-        reward_sign_check(spec, {"x": 0.0}, 40)
-
-
 def test_sign_correspondence_random():
     _, spec = make_spec("G[5,30](x >= 1)", ["x"], [RhoBounds(-4.0, 2.0)], 30)
     rng = np.random.default_rng(13)
@@ -158,7 +116,7 @@ def test_sign_correspondence_random():
         t = int(rng.integers(0, 31))
         seg = spec.schedule.active_segments(t)[0]
         r = reward(spec, s, t)
-        lower = seg.lower_bound(t)
+        lower = -gamma_eval(seg, t) + seg.params.rho_max
         rho = float(rho_pointwise(spec.psis[0], s))
         assert (r > 0) == (rho > lower)
 
@@ -210,7 +168,7 @@ def test_sequential_funnel_minus_ablation_depends_on_t_only(sequential_run, data
     t = data.draw(st.integers(0, funnel.horizon), label="t")
     active = funnel.schedule.active_segments(t)
     assert len(active) <= 1
-    offset = active[0].gamma(t) - active[0].params.rho_max if active else 0.0
+    offset = gamma_eval(active[0], t) - active[0].params.rho_max if active else 0.0
     coord = st.floats(-10.0, 10.0, allow_nan=False)
     for _ in range(3):
         s = {name: data.draw(coord, label=name) for name in sequential_run.env.schema}
