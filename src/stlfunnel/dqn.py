@@ -152,19 +152,27 @@ def epsilon_at(cfg: TrainConfig, k: int) -> float:
     return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
 
-def epsilon_greedy(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+def epsilon_greedy(q, epsilon: float, rng: np.random.Generator,
+                   n_actions: int | None = None) -> int:
     """Greedy action with probability 1 - eps + eps/|A|, any other eps/|A|.
 
-    Argmax ties break toward the lowest index.
+    q is the Q-vector, or a function of no arguments that returns it; a
+    function is called only when the greedy branch is taken, and n_actions
+    then gives |A|. The RNG draws are the same either way. Argmax ties break
+    toward the lowest index.
     """
-    q = np.asarray(q)
-    if q.size == 0:
+    if not callable(q):
+        q = np.asarray(q)
+        n_actions = q.size
+    elif n_actions is None:
+        raise ValueError("a Q-function needs n_actions")
+    if n_actions == 0:
         raise ValueError("empty Q-vector")
     if not (0 <= epsilon <= 1):
         raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
     if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(0, q.size))
-    return int(np.argmax(q))
+        return int(rng.integers(0, n_actions))
+    return int(np.argmax(q() if callable(q) else q))
 
 
 class NeuralAgent:
@@ -246,12 +254,9 @@ class NeuralAgent:
         out, acts = self.net.forward_batch(X)
         a = batch["a"]
         m = len(a)
-        picked = out[np.arange(m), a]
-        err = picked - y
-        loss = float(np.mean(err ** 2))
-        d_out = np.zeros_like(out)
-        d_out[np.arange(m), a] = 2.0 * err / m
-        self.net.backward(acts, d_out)
+        err = out[np.arange(m), a] - y
+        loss = float(np.add.reduce(err * err)) / m  # the bits of np.mean(err ** 2)
+        self.net.backward(acts, 2.0 * err / m, picked=a)
         self.optimizer.step(self.net.grad)
         return loss
 
@@ -260,13 +265,14 @@ def td_target(batch: dict, agent, discount: float, horizon: int) -> np.ndarray:
     """Bootstrap targets y = r + discount * max_a Q_target(s', a, t+1); no
     bootstrap on terminal records."""
     t_next = np.asarray(batch["t"]) + 1
-    terminal = np.asarray(batch["terminal"], dtype=bool)
-    if np.any(t_next[~terminal] > horizon):
-        raise ValueError("non-terminal transition at or beyond the horizon")
-    t_next = np.minimum(t_next, horizon)
+    live = ~np.asarray(batch["terminal"], dtype=bool)
+    if t_next.max() > horizon:
+        if np.any(t_next[live] > horizon):
+            raise ValueError("non-terminal transition at or beyond the horizon")
+        t_next = np.minimum(t_next, horizon)
     q_next = agent.target_q_batch(batch["s_next"], t_next)
     y = np.asarray(batch["r"], dtype=np.float64).copy()
-    y[~terminal] += discount * q_next.max(axis=1)[~terminal]
+    y[live] += discount * q_next.max(axis=1)[live]
     return y
 
 
@@ -344,8 +350,7 @@ def train(env: Environment, reward_spec: RewardSpec, phi: Formula | None,
 
     for k in range(start_step, start_step + cfg.total_steps):
         eps = epsilon_at(cfg, k)
-        q = agent.q_values(s, t)
-        a = epsilon_greedy(q, eps, rng)
+        a = epsilon_greedy(lambda: agent.q_values(s, t), eps, rng, env.n_actions)
         s_next = env.step(s, a)
         if not np.all(np.isfinite(s_next)):
             raise TrainingDiverged(f"non-finite state at step {k}: {s_next}")

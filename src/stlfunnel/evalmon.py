@@ -170,7 +170,7 @@ def read_trajectory_csv(path, schema: list[str]) -> Trajectory:
     n-1 in order, or a state cell that is not a finite number.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             header, *lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise TrajectoryError(f"trajectory CSV is not text: {exc}") from None

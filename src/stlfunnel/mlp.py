@@ -70,15 +70,23 @@ class MLP:
         h = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ W.T + b
+            h = h @ W.T
+            h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
             acts.append(h)
         return h, acts
 
-    def backward(self, acts: list[np.ndarray], d_out: np.ndarray):
+    def backward(self, acts: list[np.ndarray], d_out: np.ndarray,
+                 picked: np.ndarray | None = None):
         """Gradients of a scalar loss given d(loss)/d(output), written into the
         flat vector self.grad (laid out like params).
+
+        With picked, one output index per row, the loss reads only those
+        outputs and d_out is the (n,) vector of its gradient with respect to
+        each row's picked output. The delta into the last hidden layer is then
+        d_out[:, None] * W_last[picked], which equals the product of the
+        one-hot output gradient with W_last bit for bit.
 
         Returns (d_weights, d_biases): views into self.grad matching
         self.weights/self.biases, overwritten by the next call.
@@ -86,13 +94,21 @@ class MLP:
         if self.grad is None:
             self.grad = np.empty_like(self.params)
             self._d_weights, self._d_biases = self.views(self.grad)
-        delta = np.asarray(d_out, dtype=np.float64)
-        for i in range(len(self.weights) - 1, -1, -1):
+        d_out = np.asarray(d_out, dtype=np.float64)
+        last = len(self.weights) - 1
+        delta = d_out
+        if picked is not None:
+            delta = np.zeros((len(d_out), self.layer_sizes[-1]))
+            delta[np.arange(len(d_out)), picked] = d_out
+        for i in range(last, -1, -1):
             np.matmul(delta.T, acts[i], out=self._d_weights[i])
             delta.sum(axis=0, out=self._d_biases[i])
             if i > 0:
-                delta = delta @ self.weights[i]
-                delta = delta * (acts[i] > 0.0)
+                if i == last and picked is not None:
+                    delta = d_out[:, None] * self.weights[i][picked]
+                else:
+                    delta = delta @ self.weights[i]
+                delta *= acts[i] > 0.0
         return self._d_weights, self._d_biases
 
     def copy(self) -> "MLP":

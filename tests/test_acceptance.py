@@ -19,6 +19,8 @@ at least as well. Both rates are reported honestly.
 """
 
 import math
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -184,8 +186,28 @@ def _diffdrive_rate(mode):
 
 
 @pytest.fixture(scope="module")
-def diffdrive_funnel_rate():
-    return _diffdrive_rate(MODE_FUNNEL)
+def diffdrive_rates():
+    """The funnel rate, and a pending result that yields the ablation rate.
+
+    The two trainings are independent seeded computations, so the ablation
+    runs in a spawned process with one BLAS thread while the funnel run
+    trains here; the results are those of running them one after the other.
+    """
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read by the child's numpy import
+    try:
+        pool = multiprocessing.get_context("spawn").Pool(1)
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+    try:
+        ablation = pool.apply_async(_diffdrive_rate, (MODE_ABLATION,))
+        yield _diffdrive_rate(MODE_FUNNEL), ablation
+    finally:
+        pool.terminate()  # stops an ablation run that no test collected
+        pool.join()
 
 
 def test_criterion_4_integrator_boolean_satisfaction():
@@ -210,15 +232,17 @@ def test_criterion_4_integrator_boolean_satisfaction():
 
 
 @pytest.mark.slow
-def test_criterion_5_diffdrive_sequential_reach(diffdrive_funnel_rate):
+def test_criterion_5_diffdrive_sequential_reach(diffdrive_rates):
+    diffdrive_funnel_rate, _ = diffdrive_rates
     report(5, "diff-drive sequential reach rate >= 0.80",
            diffdrive_funnel_rate >= 0.80,
            f"min-obligation-robustness > 0 in {diffdrive_funnel_rate:.2f} of 20 episodes")
 
 
 @pytest.mark.slow
-def test_criterion_6_ablation_strictly_worse(diffdrive_funnel_rate):
-    ablation_rate = _diffdrive_rate(MODE_ABLATION)
+def test_criterion_6_ablation_strictly_worse(diffdrive_rates):
+    diffdrive_funnel_rate, ablation = diffdrive_rates
+    ablation_rate = ablation.get()
     report(6, "no-funnel ablation strictly below funnel satisfaction",
            ablation_rate < diffdrive_funnel_rate,
            f"funnel {diffdrive_funnel_rate:.2f} vs ablation {ablation_rate:.2f}; "

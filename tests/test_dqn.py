@@ -79,6 +79,29 @@ def test_epsilon_greedy_validates_inputs():
         epsilon_greedy(np.array([1.0]), 1.5, rng)
 
 
+def test_epsilon_greedy_calls_a_q_function_only_on_greedy_steps():
+    q = np.array([0.3, 1.0, -2.0, 0.5])
+    calls = []
+
+    def q_fn():
+        calls.append(None)
+        return q
+
+    eager, lazy, replay = (np.random.default_rng(5) for _ in range(3))
+    greedy_steps = 0
+    for eps in (0.0, 0.3, 0.97, 1.0) * 250:
+        assert epsilon_greedy(q_fn, eps, lazy, n_actions=4) == epsilon_greedy(q, eps, eager)
+        explores = eps > 0 and replay.random() < eps
+        if explores:
+            replay.integers(0, 4)
+        greedy_steps += not explores
+    assert len(calls) == greedy_steps
+    assert 250 < greedy_steps < 1000
+    assert lazy.bit_generator.state == eager.bit_generator.state
+    with pytest.raises(ValueError, match="n_actions"):
+        epsilon_greedy(q_fn, 0.1, lazy)
+
+
 # Replay buffer ----------------------------------------------------------------
 
 def test_replay_ring_overwrites_oldest():
@@ -145,6 +168,25 @@ def test_td_target_rejects_nonterminal_beyond_horizon():
              "r": np.array([0.0]), "terminal": np.array([False])}
     with pytest.raises(ValueError, match="horizon"):
         td_target(batch, agent, discount=0.9, horizon=5)
+
+
+def test_update_loss_is_mean_squared_td_error():
+    rng = np.random.default_rng(70)
+    agent = NeuralAgent(2, 7, (16, 16), 20, 1e-3, rng)
+    buffer = ReplayBuffer(200, 2)
+    for _ in range(200):
+        t = int(rng.integers(0, 20))
+        buffer.add(rng.normal(size=2), int(rng.integers(0, 7)), rng.normal(),
+                   rng.normal(size=2), t, t == 19)
+    for m in (1, 5, 32, 64):
+        batch = buffer.sample(m, rng)
+        y = td_target(batch, agent, 0.95, 20)
+        out, _ = agent.net.forward_batch(agent._input_batch(batch["s"], batch["t"]))
+        err = out[np.arange(m), batch["a"]] - y
+        assert agent.update(batch, 0.95) == pytest.approx(float(np.mean(err ** 2)),
+                                                          rel=1e-12, abs=0)
+        # The update's sum-then-divide gives the bits of np.mean itself.
+        assert float(np.add.reduce(err * err)) / m == float(np.mean(err ** 2))
 
 
 # Training loop ----------------------------------------------------------------

@@ -463,8 +463,9 @@ def test_read_trajectory_minimal_columns(tmp_path):
     "t,x,y\n0,1.5,10\n1,2.5,-3",
     "t, x, y\n0, 1.5, 10\n1, 2.5, -3\n",
     "x, t, y\n1.5, 0, 10\n2.5, 1, -3\n",
+    "\ufefft,x,y\n0,1.5,10\n1,2.5,-3\n",
 ], ids=["crlf", "blank-line", "space-before-cell", "space-before-t", "underscore",
-        "no-final-newline", "comma-space", "comma-space-t-not-first"])
+        "no-final-newline", "comma-space", "comma-space-t-not-first", "byte-order-mark"])
 def test_read_trajectory_accepts_csv_variants(tmp_path, text):
     path = tmp_path / "traj.csv"
     path.write_bytes(text.encode())

@@ -97,6 +97,39 @@ def test_backward_relu_blocks_gradient():
     assert db[1][0] == 1.0
 
 
+def one_hot(g, picked, n_out):
+    d_out = np.zeros((len(g), n_out))
+    d_out[np.arange(len(g)), picked] = g
+    return d_out
+
+
+@pytest.mark.parametrize("sizes,picked", [
+    ((3, 8, 6, 5), [0, 4, 4, 2, 4, 0, 1]),       # repeated actions
+    ((3, 8, 6, 5), [3] * 9),                     # every row picks one action
+    ((3, 8, 6, 5), [2]),                         # a one-row batch
+    ((4, 64, 64, 273), np.random.default_rng(62).integers(0, 273, size=64)),
+    ((3, 128, 128, 61), np.random.default_rng(63).integers(0, 61, size=64)),
+])
+def test_picked_backward_matches_dense_one_hot(sizes, picked):
+    net = make_net(sizes=sizes, seed=60)
+    rng = np.random.default_rng(61)
+    picked = np.asarray(picked)
+    X = rng.normal(size=(len(picked), sizes[0]))
+    g = rng.normal(size=len(picked))
+    _, acts = net.forward_batch(X)
+    dW, db = net.backward(acts, one_hot(g, picked, sizes[-1]))
+    dense = [a.copy() for a in dW + db]
+    dW, db = net.backward(acts, g, picked=picked)
+    got = dW + db
+    # Every hidden layer's gradient follows from the delta into the last
+    # hidden layer, so equal bits there mean that delta is exact.
+    hidden = list(range(len(dW) - 1)) + list(range(len(dW), len(got) - 1))
+    for k in hidden:
+        assert np.array_equal(got[k], dense[k])
+    for k in (len(dW) - 1, len(got) - 1):
+        np.testing.assert_allclose(got[k], dense[k], rtol=1e-12, atol=0)
+
+
 # Optimizer --------------------------------------------------------------------
 
 def test_adam_first_step_moves_by_lr():
