@@ -251,10 +251,10 @@ class NeuralAgent:
     def update(self, batch: dict, discount: float) -> float:
         y = td_target(batch, self, discount, self.horizon)
         X = self._input_batch(batch["s"], batch["t"])
-        out, acts = self.net.forward_batch(X)
         a = batch["a"]
         m = len(a)
-        err = out[np.arange(m), a] - y
+        q, acts = self.net.forward_batch(X, picked=a)
+        err = q - y
         loss = float(np.add.reduce(err * err)) / m  # the bits of np.mean(err ** 2)
         self.net.backward(acts, 2.0 * err / m, picked=a)
         self.optimizer.step(self.net.grad)

@@ -61,8 +61,16 @@ class MLP:
                 np.maximum(h, 0.0, out=h)
         return h
 
-    def forward_batch(self, X: np.ndarray):
-        """Returns (output, cache) where cache holds layer activations for backward."""
+    def forward_batch(self, X: np.ndarray, picked: np.ndarray | None = None):
+        """Returns (output, cache) where cache holds layer activations for backward.
+
+        With picked, one output index per row, the last layer computes only
+        each row's picked output and the output is the (n,) vector of them.
+        The hidden activations are those of the full pass, bit for bit; the
+        picked outputs agree with the full pass's to rounding, not in every
+        bit, since a row-by-row dot product sums in another order than the
+        matrix product.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_inputs:
             raise ValueError(f"batch shape {X.shape} incompatible with input size {self.n_inputs}")
@@ -70,8 +78,12 @@ class MLP:
         h = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ W.T
-            h += b
+            if i == last and picked is not None:
+                h = np.einsum("ij,ij->i", h, W[picked])
+                h += b[picked]
+            else:
+                h = h @ W.T
+                h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
             acts.append(h)
@@ -84,9 +96,12 @@ class MLP:
 
         With picked, one output index per row, the loss reads only those
         outputs and d_out is the (n,) vector of its gradient with respect to
-        each row's picked output. The delta into the last hidden layer is then
-        d_out[:, None] * W_last[picked], which equals the product of the
-        one-hot output gradient with W_last bit for bit.
+        each row's picked output. The output layer's weight gradient is then
+        a product over the distinct picked units only, and its bias gradient
+        a bincount; both agree with the dense pass to rounding. The delta into
+        the last hidden layer, d_out[:, None] * W_last[picked], equals the
+        product of the one-hot output gradient with W_last bit for bit, and so
+        do the gradients of every layer below.
 
         Returns (d_weights, d_biases): views into self.grad matching
         self.weights/self.biases, overwritten by the next call.
@@ -94,22 +109,35 @@ class MLP:
         if self.grad is None:
             self.grad = np.empty_like(self.params)
             self._d_weights, self._d_biases = self.views(self.grad)
-        d_out = np.asarray(d_out, dtype=np.float64)
-        last = len(self.weights) - 1
-        delta = d_out
+        delta = np.asarray(d_out, dtype=np.float64)
+        top = len(self.weights) - 1
         if picked is not None:
-            delta = np.zeros((len(d_out), self.layer_sizes[-1]))
-            delta[np.arange(len(d_out)), picked] = d_out
-        for i in range(last, -1, -1):
+            self._picked_output_grads(acts[top], delta, picked)
+            if top > 0:
+                delta = delta[:, None] * self.weights[top][picked]
+                delta *= acts[top] > 0.0
+            top -= 1
+        for i in range(top, -1, -1):
             np.matmul(delta.T, acts[i], out=self._d_weights[i])
             delta.sum(axis=0, out=self._d_biases[i])
             if i > 0:
-                if i == last and picked is not None:
-                    delta = d_out[:, None] * self.weights[i][picked]
-                else:
-                    delta = delta @ self.weights[i]
+                delta = delta @ self.weights[i]
                 delta *= acts[i] > 0.0
         return self._d_weights, self._d_biases
+
+    def _picked_output_grads(self, h: np.ndarray, g: np.ndarray, picked: np.ndarray):
+        """Output-layer gradients when row r's loss reads only output picked[r]
+        with gradient g[r]; h holds the last hidden layer's activations."""
+        n_out = self.layer_sizes[-1]
+        units = np.flatnonzero(np.bincount(picked, minlength=n_out))
+        slot = np.empty(n_out, dtype=np.intp)  # row of each picked unit within units
+        slot[units] = np.arange(len(units))
+        d_units = np.zeros((len(units), len(g)))
+        d_units[slot[picked], np.arange(len(g))] = g
+        dW = self._d_weights[-1]
+        dW.fill(0.0)
+        dW[units] = d_units @ h
+        self._d_biases[-1][:] = np.bincount(picked, weights=g, minlength=n_out)
 
     def copy(self) -> "MLP":
         clone = MLP(self.layer_sizes, rng=None)
@@ -134,21 +162,29 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
-        self._scratch: np.ndarray | None = None  # two vectors, from the first step
+        self._scratch: np.ndarray | None = None  # one vector, from the first step
 
     def step(self, grad: np.ndarray):
-        """One update of net.params from a flat gradient laid out like params."""
+        """One update of net.params from a flat gradient laid out like params.
+
+        The bias corrections are folded into the step size and epsilon, in the
+        order of Kingma & Ba (2015, section 2): with c = sqrt(1 - b2^t),
+        p -= (lr*c/(1-b1^t)) * m / (sqrt(v) + eps*c), which is the textbook
+        p -= lr*mhat / (sqrt(vhat) + eps) up to rounding, with one vector
+        divide instead of three.
+        """
         if grad.shape != self.m.shape:
             raise ValueError(f"gradient shape {grad.shape} != parameter shape {self.m.shape}")
         self.step_count += 1
         if self._scratch is None:
-            self._scratch = np.empty((2, self.m.size))
-        a, b = self._scratch
+            self._scratch = np.empty_like(self.m)
+        a = self._scratch
         beta1, beta2 = self.beta1, self.beta2
         m, v = self.m, self.v
-        # In place, with the per-element operations in the textbook order:
-        # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
-        # p -= (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps).
+        root = np.sqrt(1.0 - beta2 ** self.step_count)
+        alpha = self.lr * root / (1.0 - beta1 ** self.step_count)
+        # In place: m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+        # p -= (m / (sqrt(v) + eps*c)) * alpha.
         m *= beta1
         np.multiply(grad, 1.0 - beta1, out=a)
         m += a
@@ -156,13 +192,11 @@ class Adam:
         np.multiply(grad, 1.0 - beta2, out=a)
         a *= grad
         v += a
-        np.divide(v, 1.0 - beta2 ** self.step_count, out=a)
-        np.sqrt(a, out=a)
-        a += self.eps
-        np.divide(m, 1.0 - beta1 ** self.step_count, out=b)
-        b *= self.lr
-        b /= a
-        self.net.params -= b
+        np.sqrt(v, out=a)
+        a += self.eps * root
+        np.divide(m, a, out=a)
+        a *= alpha
+        self.net.params -= a
 
     def copy(self, net: MLP) -> "Adam":
         """An optimizer for net (a copy of self.net) with this one's state."""

@@ -242,7 +242,7 @@ def test_criterion_5_diffdrive_sequential_reach(diffdrive_rates):
 @pytest.mark.slow
 def test_criterion_6_ablation_strictly_worse(diffdrive_rates):
     diffdrive_funnel_rate, ablation = diffdrive_rates
-    ablation_rate = ablation.get()
+    ablation_rate = ablation.get(timeout=3600)
     report(6, "no-funnel ablation strictly below funnel satisfaction",
            ablation_rate < diffdrive_funnel_rate,
            f"funnel {diffdrive_funnel_rate:.2f} vs ablation {ablation_rate:.2f}; "

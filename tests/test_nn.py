@@ -107,6 +107,7 @@ def one_hot(g, picked, n_out):
     ((3, 8, 6, 5), [0, 4, 4, 2, 4, 0, 1]),       # repeated actions
     ((3, 8, 6, 5), [3] * 9),                     # every row picks one action
     ((3, 8, 6, 5), [2]),                         # a one-row batch
+    ((3, 5), [1, 1, 4]),                         # no hidden layer
     ((4, 64, 64, 273), np.random.default_rng(62).integers(0, 273, size=64)),
     ((3, 128, 128, 61), np.random.default_rng(63).integers(0, 61, size=64)),
 ])
@@ -128,6 +129,21 @@ def test_picked_backward_matches_dense_one_hot(sizes, picked):
         assert np.array_equal(got[k], dense[k])
     for k in (len(dW) - 1, len(got) - 1):
         np.testing.assert_allclose(got[k], dense[k], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("sizes", [(3, 8, 6, 5), (4, 64, 64, 273), (3, 128, 128, 61), (3, 5)])
+def test_picked_forward_matches_full_pass(sizes):
+    net = make_net(sizes=sizes, seed=64)
+    rng = np.random.default_rng(65)
+    X = rng.normal(size=(64, sizes[0]))
+    picked = rng.integers(0, sizes[-1], size=64)
+    full, full_acts = net.forward_batch(X)
+    got, acts = net.forward_batch(X, picked=picked)
+    assert got.shape == (64,)
+    np.testing.assert_allclose(got, full[np.arange(64), picked], rtol=1e-12, atol=0)
+    assert len(acts) == len(full_acts)
+    for hidden, want in zip(acts[:-1], full_acts[:-1]):
+        assert np.array_equal(hidden, want)
 
 
 # Optimizer --------------------------------------------------------------------
@@ -186,15 +202,16 @@ def test_adam_state_round_trip():
 
 
 def adam_step_oracle(param, grad, m, v, step, lr, beta1, beta2, eps):
-    """Reference update of one array, in the per-array numpy form the flat
-    step replaced; the flat step must equal it bit for bit."""
+    """Reference update of one array, per array in numpy, with the bias
+    corrections folded into the step size and epsilon (Kingma & Ba, section
+    2); the flat step must equal it bit for bit."""
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
     v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** step)
-    vhat = v / (1.0 - beta2 ** step)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+    root = np.sqrt(1.0 - beta2 ** step)
+    alpha = lr * root / (1.0 - beta1 ** step)
+    param -= alpha * (m / (np.sqrt(v) + eps * root))
 
 
 def test_flat_adam_matches_per_array_oracle():
@@ -221,6 +238,30 @@ def test_flat_adam_matches_per_array_oracle():
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="gradient shape"):
         opt.step(np.zeros(3))
+
+
+def test_adam_matches_textbook_bias_corrected_update():
+    lr, beta1, beta2, eps = 3e-3, 0.85, 0.995, 1e-7
+    net = make_net(sizes=(4, 12, 9, 3), seed=52)
+    opt = Adam(net, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    p = net.params.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    rng = np.random.default_rng(53)
+    # Gradients over ten orders of magnitude, so that eps matters for some
+    # entries and not for others.
+    scale = 10.0 ** rng.uniform(-10, 0, size=p.size)
+    for step in range(1, 61):
+        g = rng.normal(size=p.size) * scale
+        opt.step(g)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g ** 2
+        mhat = m / (1 - beta1 ** step)
+        vhat = v / (1 - beta2 ** step)
+        p = p - lr * mhat / (np.sqrt(vhat) + eps)
+        np.testing.assert_allclose(net.params, p, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(opt.m, m, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(opt.v, v, rtol=1e-12, atol=0)
 
 
 # Copy semantics ---------------------------------------------------------------
