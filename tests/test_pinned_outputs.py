@@ -3,7 +3,9 @@
 For every shipped config this runs `funnel`, a 400-step `train`, a two-episode
 `eval` of that checkpoint and `monitor` on its first trajectory, and compares
 the sha256 of each file they write with tests/pinned_outputs.json (the path
-that verdict.json records is left out). Floating-point results depend on the
+that verdict.json records is left out). A config that sets training.keep_best
+is also trained with keep_best off into train_final/: its kept checkpoint can
+be the untrained step-0 snapshot, which no training arithmetic reaches. Floating-point results depend on the
 BLAS build and the C math library, so the digests are keyed by a fingerprint
 of both; on a machine whose fingerprint is not in the file the test skips and
 names it, and checks nothing.
@@ -54,12 +56,16 @@ def output_digests(config: Path, out: Path) -> dict[str, str]:
     common = ["--config", str(config), "--set", "training.total_steps=400"]
     ckpt = out / "train" / "checkpoint.npz"
     trajectory = out / "eval" / "trajectory_000.csv"
-    for argv in (["funnel", *common, "--out", str(out / "funnel")],
-                 ["train", *common, "--out", str(out / "train")],
-                 ["eval", *common, "--out", str(out / "eval"),
-                  "--checkpoint", str(ckpt), "--episodes", "2"],
-                 ["monitor", *common, "--out", str(out / "monitor"),
-                  "--trajectory", str(trajectory)]):
+    runs = [["funnel", *common, "--out", str(out / "funnel")],
+            ["train", *common, "--out", str(out / "train")],
+            ["eval", *common, "--out", str(out / "eval"),
+             "--checkpoint", str(ckpt), "--episodes", "2"],
+            ["monitor", *common, "--out", str(out / "monitor"),
+             "--trajectory", str(trajectory)]]
+    if json.loads(config.read_text()).get("training", {}).get("keep_best"):
+        runs.append(["train", *common, "--set", "training.keep_best=false",
+                     "--out", str(out / "train_final")])
+    for argv in runs:
         assert main(argv) == 0, argv
     digests = {p.relative_to(out).as_posix(): _sha256(p.read_bytes())
                for p in sorted(out.rglob("*")) if p.is_file()}
