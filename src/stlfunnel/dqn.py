@@ -152,27 +152,20 @@ def epsilon_at(cfg: TrainConfig, k: int) -> float:
     return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
 
-def epsilon_greedy(q, epsilon: float, rng: np.random.Generator,
-                   n_actions: int | None = None) -> int:
+def epsilon_greedy(q, epsilon: float, rng: np.random.Generator, n_actions: int) -> int:
     """Greedy action with probability 1 - eps + eps/|A|, any other eps/|A|.
 
-    q is the Q-vector, or a function of no arguments that returns it; a
-    function is called only when the greedy branch is taken, and n_actions
-    then gives |A|. The RNG draws are the same either way. Argmax ties break
+    q is a function of no arguments that returns the Q-vector; it is called
+    only when the greedy branch is taken. n_actions is |A|. Argmax ties break
     toward the lowest index.
     """
-    if not callable(q):
-        q = np.asarray(q)
-        n_actions = q.size
-    elif n_actions is None:
-        raise ValueError("a Q-function needs n_actions")
     if n_actions == 0:
         raise ValueError("empty Q-vector")
     if not (0 <= epsilon <= 1):
         raise ValueError(f"epsilon must be in [0,1], got {epsilon}")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(0, n_actions))
-    return int(np.argmax(q() if callable(q) else q))
+    return int(np.argmax(q()))
 
 
 class NeuralAgent:

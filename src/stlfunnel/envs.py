@@ -106,11 +106,9 @@ class Environment:
     def default_reset(self) -> tuple[float, ...]:
         raise NotImplementedError
 
-    def reset(self, rng: np.random.Generator | int | None = None) -> np.ndarray:
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
         if self.cfg.reset_kind == "fixed":
             return self._reset_fixed.copy()
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
         return rng.uniform(self._reset_low, self._reset_high)
 
     def step(self, state: np.ndarray, action_index: int) -> np.ndarray:

@@ -89,8 +89,10 @@ def rollout(agent, env: Environment, spec: RewardSpec, seed=0,
         states[t] = s
         if t == horizon:
             break
-        q = agent.q_values(s, t)
-        a = int(q.argmax()) if greedy else epsilon_greedy(q, epsilon, rng)
+        if greedy:
+            a = int(agent.q_values(s, t).argmax())
+        else:
+            a = epsilon_greedy(lambda: agent.q_values(s, t), epsilon, rng, env.n_actions)
         actions[t] = a
         s = env.step(s, a)
 

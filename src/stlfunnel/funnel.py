@@ -219,9 +219,7 @@ def _conjunct_locals(c: TemporalConjunct, shift: int) -> dict:
     return {"interval": Interval(iv.lo - shift, iv.hi - shift), "c1": None, "c2": None}
 
 
-def build_schedule(phi: Formula,
-                   rho_bounds: Sequence[RhoBounds] | Mapping[int, RhoBounds],
-                   horizon: int,
+def build_schedule(phi: Formula, rho_bounds: Sequence[RhoBounds], horizon: int,
                    gamma_inf_overrides: Mapping[int, float] | None = None,
                    t_star_overrides: Mapping[int, int] | None = None) -> FunnelSchedule:
     """Build the funnel schedule for a fragment formula.
@@ -232,10 +230,8 @@ def build_schedule(phi: Formula,
     overrides are segment-local steps (measured from the segment clock
     origin).
     """
-    cls = classify_fragment(phi)
-    if cls is FragmentClass.NON_TEMPORAL:
-        raise FunnelSynthesisError("formula has no temporal operator; nothing to schedule")
     conjuncts = temporal_conjuncts(phi)
+    cls = classify_fragment(phi)
     gamma_inf_overrides = dict(gamma_inf_overrides or {})
     t_star_overrides = dict(t_star_overrides or {})
 
@@ -244,15 +240,11 @@ def build_schedule(phi: Formula,
         raise FunnelSynthesisError(
             f"horizon {horizon} shorter than the latest obligation end {max_end}")
 
-    def bounds_for(idx: int) -> RhoBounds:
-        try:
-            b = rho_bounds[idx]
-        except (KeyError, IndexError):
-            raise FunnelSynthesisError(f"missing rho bounds for sub-formula {idx}") from None
-        return b
+    if len(rho_bounds) < len(conjuncts):
+        raise FunnelSynthesisError(f"missing rho bounds for sub-formula {len(rho_bounds)}")
 
     def params_for(idx: int, c: TemporalConjunct, shift: int) -> FunnelParams:
-        b = bounds_for(idx)
+        b = rho_bounds[idx]
         if b.rho_max <= 0:
             raise FunnelSynthesisError(
                 f"sub-formula {idx} ({c.body.pretty()}) has rho_max={b.rho_max} <= 0 "

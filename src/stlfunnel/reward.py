@@ -54,8 +54,6 @@ def segment_margin(seg: FunnelSegment, rho, t):
 
 def reward(spec: RewardSpec, s: StateVector, t: int) -> float:
     """Shaped reward at (s, t); steps covered by no segment yield 0."""
-    if t < 0 or t > spec.horizon:
-        raise ValueError(f"step {t} beyond horizon {spec.horizon}")
     active = spec.schedule.active_segments(t)
     if not active:
         return 0.0

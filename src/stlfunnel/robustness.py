@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -29,8 +29,8 @@ __all__ = ["RhoBounds", "rho_pointwise", "rho_trace", "violation_step", "estimat
            "TemporalInPointwiseError"]
 
 StateVector = Mapping[str, float]
-# A trace as column arrays by variable name, or as a sequence of states.
-Trace = Union[Mapping[str, np.ndarray], Sequence[StateVector]]
+# A trace: one column array per variable name, with one entry per step.
+Trace = Mapping[str, np.ndarray]
 
 
 class TemporalInPointwiseError(ValueError):
@@ -71,20 +71,19 @@ def rho_pointwise(psi: Formula, s: StateVector) -> float:
 def rho_trace(phi: Formula, trace: Trace, t: int = 0) -> float:
     """Robustness of an arbitrary fragment formula over a discrete trace.
 
-    trace is either a mapping from variable name to a column array with one
-    entry per step, or a sequence of per-step state mappings, which is
-    converted to columns once. The trace must extend to t + formula_horizon(phi);
-    both interval endpoints are inclusive.
+    trace maps each variable name to a column array with one entry per step.
+    The trace must extend to t + formula_horizon(phi); both interval endpoints
+    are inclusive.
     """
     if t < 0:
         raise ValueError(f"evaluation step must be nonnegative, got t={t}")
-    columns, n = _columns(trace)
+    n = _length(trace)
     need = t + formula_horizon(phi)
     if need > n - 1:
         raise ValueError(
             f"trace of length {n} too short: formula requires step {need} "
             f"when evaluated at t={t}")
-    return float(_signal(phi, columns, n, rho_pointwise)[t])
+    return float(_signal(phi, trace, n, rho_pointwise)[t])
 
 
 def violation_step(phi: Formula, trace: Trace) -> float:
@@ -95,7 +94,7 @@ def violation_step(phi: Formula, trace: Trace) -> float:
     the first violating step and F's maximum the step by which every candidate
     has failed. phi must not negate a temporal operator (no violation step then).
     """
-    columns, n = _columns(trace)
+    n = _length(trace)
     steps = np.arange(n + formula_horizon(phi), dtype=float)
 
     def failure_steps(psi, cols):
@@ -103,17 +102,14 @@ def violation_step(phi: Formula, trace: Trace) -> float:
         violated[:n] = np.asarray(rho_pointwise(psi, cols)) < 0
         return np.where(violated, steps, np.inf)
 
-    return float(_signal(phi, columns, len(steps), failure_steps)[0])
+    return float(_signal(phi, trace, len(steps), failure_steps)[0])
 
 
-def _columns(trace: Trace) -> tuple[Mapping[str, np.ndarray], int]:
-    if isinstance(trace, Mapping):
-        lengths = {len(v) for v in trace.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"trace columns need one common length, got lengths {sorted(lengths)}")
-        return trace, lengths.pop()
-    names = trace[0].keys() if len(trace) else ()
-    return {name: np.array([s[name] for s in trace], dtype=float) for name in names}, len(trace)
+def _length(trace: Trace) -> int:
+    lengths = {len(v) for v in trace.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"trace columns need one common length, got lengths {sorted(lengths)}")
+    return lengths.pop()
 
 
 def _signal(phi: Formula, columns: Mapping[str, np.ndarray], n: int, leaf) -> np.ndarray:

@@ -9,7 +9,7 @@ canonical: an atom holds iff its expression h evaluates to a value >= 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr import Expr
 
@@ -63,7 +63,6 @@ class Atom(Formula):
     """Canonical predicate: holds iff h(s) >= 0."""
 
     h: Expr
-    label: str | None = field(default=None, compare=False)
 
     def pretty(self):
         return f"{self.h.pretty()} >= 0"
@@ -180,14 +179,10 @@ class TemporalConjunct:
     node: Formula
 
 
-def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
-
-
 def top_level_conjuncts(f: Formula) -> list[Formula]:
-    return _flatten_and(f)
+    if isinstance(f, And):
+        return top_level_conjuncts(f.left) + top_level_conjuncts(f.right)
+    return [f]
 
 
 def _as_temporal_conjunct(f: Formula) -> TemporalConjunct:
@@ -223,23 +218,19 @@ def temporal_conjuncts(f: Formula) -> list[TemporalConjunct]:
 def classify_fragment(f: Formula) -> FragmentClass:
     """Classify a parsed formula against the supported fragment.
 
-    Raises FragmentError for structures outside the fragment: disjunction or
-    negation over temporal operators, nesting of temporal operators beyond the
-    single F-G form, or a conjunction mixing temporal and non-temporal parts.
+    A formula with a temporal operator is classified from its
+    temporal_conjuncts, which raise FragmentError for structures outside the
+    fragment: disjunction or negation over temporal operators, nesting of
+    temporal operators beyond the single F-G form, or a conjunct with no
+    temporal operator.
     """
     if is_nontemporal(f):
         return FragmentClass.NON_TEMPORAL
 
-    conjuncts = top_level_conjuncts(f)
+    conjuncts = temporal_conjuncts(f)
     if len(conjuncts) == 1:
-        _as_temporal_conjunct(conjuncts[0])
         return FragmentClass.SINGLE_TEMPORAL
-
-    if any(is_nontemporal(c) for c in conjuncts):
-        raise FragmentError("conjunction mixes temporal and non-temporal conjuncts")
-
-    temporal = [_as_temporal_conjunct(c) for c in conjuncts]
-    ordered = sorted(temporal, key=lambda c: (c.footprint.lo, c.footprint.hi))
+    ordered = sorted(conjuncts, key=lambda c: (c.footprint.lo, c.footprint.hi))
     sequential = all(
         ordered[i].footprint.hi < ordered[i + 1].footprint.lo
         for i in range(len(ordered) - 1))

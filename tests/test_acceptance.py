@@ -28,7 +28,7 @@ import pytest
 
 import conftest
 
-from test_robustness import oracle_bool, oracle_rho, random_formula, random_trace
+from test_robustness import columns_of, oracle_bool, oracle_rho, random_formula, random_trace
 
 from stlfunnel import evalmon
 from stlfunnel.dqn import TrainConfig, td_target, train
@@ -61,7 +61,7 @@ def test_criterion_1_robustness_oracle_equivalence():
         need = formula_horizon(phi)
         length = need + int(rng.integers(1, max(2, 50 - need)))
         trace = random_trace(rng, length)
-        got = rho_trace(phi, trace, 0)
+        got = rho_trace(phi, columns_of(trace), 0)
         want = oracle_rho(phi, trace, 0)
         worst = max(worst, abs(got - want))
         sign_ok = got == 0 or (got > 0) == oracle_bool(phi, trace, 0)

@@ -53,8 +53,8 @@ def test_epsilon_decay_defaults_to_half_the_run():
 
 def test_greedy_when_epsilon_zero_with_low_index_ties():
     rng = np.random.default_rng(0)
-    assert epsilon_greedy(np.array([1.0, 3.0, 2.0]), 0.0, rng) == 1
-    assert epsilon_greedy(np.array([2.0, 2.0, 1.0]), 0.0, rng) == 0
+    assert epsilon_greedy(lambda: np.array([1.0, 3.0, 2.0]), 0.0, rng, 3) == 1
+    assert epsilon_greedy(lambda: np.array([2.0, 2.0, 1.0]), 0.0, rng, 3) == 0
 
 
 def test_epsilon_greedy_action_frequencies():
@@ -63,7 +63,7 @@ def test_epsilon_greedy_action_frequencies():
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[epsilon_greedy(q, 0.2, rng)] += 1
+        counts[epsilon_greedy(lambda: q, 0.2, rng, 4)] += 1
     freqs = counts / n
     # Greedy action: 1 - eps + eps/|A| = 0.85; each other: eps/|A| = 0.05.
     assert freqs[2] == pytest.approx(0.85, abs=0.01)
@@ -74,9 +74,9 @@ def test_epsilon_greedy_action_frequencies():
 def test_epsilon_greedy_validates_inputs():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        epsilon_greedy(np.array([]), 0.1, rng)
+        epsilon_greedy(lambda: np.array([]), 0.1, rng, 0)
     with pytest.raises(ValueError):
-        epsilon_greedy(np.array([1.0]), 1.5, rng)
+        epsilon_greedy(lambda: np.array([1.0]), 1.5, rng, 1)
 
 
 def test_epsilon_greedy_calls_a_q_function_only_on_greedy_steps():
@@ -87,19 +87,16 @@ def test_epsilon_greedy_calls_a_q_function_only_on_greedy_steps():
         calls.append(None)
         return q
 
-    eager, lazy, replay = (np.random.default_rng(5) for _ in range(3))
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
     greedy_steps = 0
     for eps in (0.0, 0.3, 0.97, 1.0) * 250:
-        assert epsilon_greedy(q_fn, eps, lazy, n_actions=4) == epsilon_greedy(q, eps, eager)
         explores = eps > 0 and replay.random() < eps
-        if explores:
-            replay.integers(0, 4)
+        want = int(replay.integers(0, 4)) if explores else 1
+        assert epsilon_greedy(q_fn, eps, rng, 4) == want
         greedy_steps += not explores
     assert len(calls) == greedy_steps
     assert 250 < greedy_steps < 1000
-    assert lazy.bit_generator.state == eager.bit_generator.state
-    with pytest.raises(ValueError, match="n_actions"):
-        epsilon_greedy(q_fn, 0.1, lazy)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 # Replay buffer ----------------------------------------------------------------
@@ -261,7 +258,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(result.agent, path, cfg.digest(), meta={"steps_done": 200})
     loaded = load_checkpoint(path, expected_n_actions=env.n_actions,
                              config_digest=cfg.digest())
-    s = env.reset()
+    s = env.reset(np.random.default_rng(0))
     for t in range(env.horizon):
         assert np.array_equal(loaded.q_values(s, t), result.agent.q_values(s, t))
     assert loaded.meta == {"steps_done": 200}
@@ -409,7 +406,7 @@ def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
     assert path.read_bytes() == before
     loaded = load_checkpoint(path)
-    s = env.reset()
+    s = env.reset(np.random.default_rng(0))
     for t in range(env.horizon):
         assert np.array_equal(loaded.q_values(s, t), first.q_values(s, t))
         assert not np.array_equal(loaded.q_values(s, t), second.q_values(s, t))

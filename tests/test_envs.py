@@ -93,7 +93,7 @@ def test_pendulum_step_with_damping():
 
 def test_pendulum_default_reset_hangs_down():
     env = pendulum()
-    assert np.array_equal(env.reset(), [math.pi, 0.0])
+    assert np.array_equal(env.reset(np.random.default_rng(0)), [math.pi, 0.0])
 
 
 def test_pendulum_unforced_energy_dissipates():
@@ -173,7 +173,7 @@ def test_integrator_linearity():
 
 def test_step_is_bit_exact_deterministic():
     for env in (pendulum(), diffdrive(), integrator()):
-        s = env.reset()
+        s = env.reset(np.random.default_rng(0))
         a = env.n_actions // 3
         first = env.step(s, a)
         for _ in range(10):
@@ -193,7 +193,7 @@ def test_uniform_reset_seeded_and_bounded():
 
 def test_fixed_reset_override():
     env = pendulum(reset_fixed=(0.5, -0.25))
-    assert np.array_equal(env.reset(), [0.5, -0.25])
+    assert np.array_equal(env.reset(np.random.default_rng(0)), [0.5, -0.25])
 
 
 def test_reset_dimension_mismatch_rejected():

@@ -161,7 +161,7 @@ def reference_rollout(agent, env, spec, seed=0, greedy=True, epsilon=0.0, phi=No
             gamma_lower[t] = -gamma_eval(active[j], t) + active[j].params.rho_max
         if t < horizon:
             q = agent.q_values(s, t)
-            a = int(np.argmax(q)) if greedy else epsilon_greedy(q, epsilon, rng)
+            a = int(np.argmax(q)) if greedy else epsilon_greedy(lambda: q, epsilon, rng, len(q))
             actions[t] = a
             s = env.step(s, a)
     traj = Trajectory(

@@ -78,7 +78,7 @@ def test_no_active_segment_returns_zero():
 
 def test_reward_beyond_horizon_rejected(sequential_spec):
     _, spec = sequential_spec
-    with pytest.raises(ValueError, match="horizon"):
+    with pytest.raises(ValueError, match="outside"):
         reward(spec, {"x": 0.0}, 11)
 
 
