@@ -58,8 +58,9 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _load_agent(path, ctx, digest):
-    """Checkpointed agent, checked against the environment of this run."""
+def _load_agent(path, ctx, digest=None):
+    """Checkpointed agent, checked against the environment of this run; a
+    digest of the training config, when given, is compared with the one saved."""
     return load_checkpoint(path, expected_n_actions=ctx.env.n_actions, config_digest=digest,
                            expected_horizon=ctx.env.horizon,
                            expected_state_dim=len(ctx.env.schema))
@@ -121,7 +122,7 @@ def cmd_eval(args) -> int:
     out = ctx.output_dir
     if args.episodes <= 0:
         raise ConfigError(f"--episodes must be positive, got {args.episodes}")
-    agent = _load_agent(args.checkpoint, ctx, ctx.train_cfg.digest())
+    agent = _load_agent(args.checkpoint, ctx)
     seed = ctx.train_cfg.seed
     episodes = []
     for ep in range(args.episodes):

@@ -550,15 +550,26 @@ def test_eval_rejects_checkpoint_of_another_horizon(tmp_path, capsys):
     assert err == "checkpoint error: checkpoint has horizon 200, environment expects 100\n"
 
 
-def test_eval_warns_when_config_digest_differs(tmp_path, caplog):
+def test_eval_does_not_compare_config_digests(tmp_path, caplog):
     cfg, out = write_config(tmp_path, training={**BASE_CONFIG["training"], "total_steps": 0})
     evaluate = ["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.npz"),
                 "--episodes", "1"]
     assert main(["train", "--config", str(cfg)]) == EXIT_OK
     with caplog.at_level("WARNING", logger="stlfunnel.dqn"):
         assert main([*evaluate, "--out", str(tmp_path / "same")]) == EXIT_OK
-        assert not any("digest" in r.message for r in caplog.records)
         assert main([*evaluate, "--out", str(tmp_path / "other"), "--seed", "5"]) == EXIT_OK
+    assert not any("digest" in r.message for r in caplog.records)
+
+
+def test_resume_warns_when_config_digest_differs(tmp_path, caplog):
+    cfg, out = write_config(tmp_path, training={**BASE_CONFIG["training"], "total_steps": 0})
+    resume = ["train", "--config", str(cfg), "--resume", str(out / "checkpoint.npz")]
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    with caplog.at_level("WARNING", logger="stlfunnel.dqn"):
+        assert main([*resume, "--out", str(tmp_path / "same")]) == EXIT_OK
+        assert not any("digest" in r.message for r in caplog.records)
+        assert main([*resume, "--out", str(tmp_path / "other"),
+                     "--set", "training.lr=0.01"]) == EXIT_OK
     assert any("digest" in r.message for r in caplog.records)
 
 
