@@ -41,9 +41,6 @@ def _arange_inclusive(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-_PENDULUM_CONSTANTS = {"g": 9.8, "m": 0.15, "l": 0.5, "mu": 0.05}
-
-
 @dataclass(frozen=True)
 class EnvConfig:
     kind: str  # "pendulum" | "diffdrive" | "integrator"
@@ -78,9 +75,16 @@ class Environment:
 
     schema: tuple[str, ...]
     grid: ActionGrid
+    # The constants a config may set, with their defaults.
+    default_constants: dict[str, float] = {}
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
+        unknown = [key for key in cfg.constants if key not in self.default_constants]
+        if unknown:
+            raise ValueError(f"unknown constant {unknown[0]!r} for {cfg.kind}, which has "
+                             f"{', '.join(self.default_constants) or 'no constants'}")
+        self.constants = {**self.default_constants, **cfg.constants}
         dim = len(self.schema)
         if cfg.reset_kind == "fixed":
             fixed = cfg.reset_fixed if cfg.reset_fixed is not None else self.default_reset()
@@ -130,10 +134,10 @@ class Environment:
 
 class PendulumEnv(Environment):
     schema = ("theta", "omega")
+    default_constants = {"g": 9.8, "m": 0.15, "l": 0.5, "mu": 0.05}
 
     def __init__(self, cfg: EnvConfig):
         self.grid = ActionGrid([_arange_inclusive(-3.0, 3.0, 0.1)])
-        self.constants = {**_PENDULUM_CONSTANTS, **cfg.constants}
         super().__init__(cfg)
         g, m, l, mu = (self.constants[k] for k in ("g", "m", "l", "mu"))
         self._ml2 = m * l * l

@@ -307,6 +307,20 @@ def test_malformed_value_is_config_error_naming_its_section(override, section, t
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("config, override, message", [
+    ("pendulum_three_phase", "environment.constants.mass=7",
+     "unknown constant 'mass' for pendulum, which has g, m, l, mu"),
+    ("integrator_reach_stay", "environment.constants.bogus=7",
+     "unknown constant 'bogus' for integrator, which has no constants"),
+])
+def test_unknown_environment_constant_is_config_error(config, override, message, tmp_path,
+                                                      capsys):
+    argv = ["funnel", "--config", str(CONFIG_DIR / f"{config}.json"),
+            "--out", str(tmp_path), "--set", override]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: environment: {message}\n"
+
+
 def test_missing_key_names_section_and_key(tmp_path, capsys):
     env = {k: v for k, v in BASE_CONFIG["environment"].items() if k != "kind"}
     cfg, _ = write_config(tmp_path, environment=env)
