@@ -1,6 +1,14 @@
-from pathlib import Path
+import os
 
-import numpy as np
+# One BLAS thread in the test process and in the processes it spawns, which
+# inherit the environment. BLAS reads these when numpy is first imported, so
+# they are set before the import below; a value set by the caller is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest
 
 criterion_lines: list[str] = []
