@@ -5,10 +5,10 @@ For every shipped config this runs `funnel`, a 400-step `train`, a two-episode
 the sha256 of each file they write with tests/pinned_outputs.json (the path
 that verdict.json records is left out). A config that sets training.keep_best
 is also trained with keep_best off into train_final/: its kept checkpoint can
-be the untrained step-0 snapshot, which no training arithmetic reaches. Floating-point results depend on the
-BLAS build and the C math library, so the digests are keyed by a fingerprint
-of both; on a machine whose fingerprint is not in the file the test skips and
-names it, and checks nothing.
+be the untrained step-0 snapshot, which no training arithmetic reaches.
+Floating-point results depend on the BLAS build and the C math library, so the
+digests are keyed by a fingerprint of both; on a machine whose fingerprint is
+not in the file the test skips and names it, and checks nothing.
 
 Record this machine's digests, next to those of other fingerprints, with
 
