@@ -24,7 +24,7 @@ import numpy as np
 
 from .robustness import RhoBounds
 from .stl.formula import (
-    FG, Formula, FragmentClass, Interval, TemporalConjunct, classify_fragment,
+    FG, Formula, FragmentClass, Interval, TemporalConjunct, conjunction_class,
     temporal_conjuncts,
 )
 
@@ -231,7 +231,7 @@ def build_schedule(phi: Formula, rho_bounds: Sequence[RhoBounds], horizon: int,
     origin).
     """
     conjuncts = temporal_conjuncts(phi)
-    cls = classify_fragment(phi)
+    cls = conjunction_class(conjuncts)
     gamma_inf_overrides = dict(gamma_inf_overrides or {})
     t_star_overrides = dict(t_star_overrides or {})
 

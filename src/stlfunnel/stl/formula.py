@@ -16,8 +16,8 @@ from .expr import Expr
 __all__ = [
     "Interval", "Formula", "TrueFormula", "Atom", "Not", "And", "Or",
     "F", "G", "FG", "FragmentClass", "FragmentError", "classify_fragment",
-    "formula_horizon", "is_nontemporal", "top_level_conjuncts", "temporal_conjuncts",
-    "TemporalConjunct",
+    "conjunction_class", "formula_horizon", "is_nontemporal", "top_level_conjuncts",
+    "temporal_conjuncts", "TemporalConjunct",
 ]
 
 
@@ -226,8 +226,11 @@ def classify_fragment(f: Formula) -> FragmentClass:
     """
     if is_nontemporal(f):
         return FragmentClass.NON_TEMPORAL
+    return conjunction_class(temporal_conjuncts(f))
 
-    conjuncts = temporal_conjuncts(f)
+
+def conjunction_class(conjuncts: list[TemporalConjunct]) -> FragmentClass:
+    """Class of a formula whose temporal_conjuncts are conjuncts."""
     if len(conjuncts) == 1:
         return FragmentClass.SINGLE_TEMPORAL
     ordered = sorted(conjuncts, key=lambda c: (c.footprint.lo, c.footprint.hi))
