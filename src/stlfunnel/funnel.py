@@ -80,16 +80,8 @@ class FunnelSegment:
         return table
 
 
-def synth_l(kind: str, interval: Interval, gamma0: float, gamma_inf: float,
-            rho_max: float, t_star: int | None = None,
-            c1: int | None = None, c2: int | None = None) -> tuple[float, int]:
-    """Choose the funnel decay rate for one temporal operator.
-
-    Returns (l, t_star). For F over [a,b] the default closure is t* = b (the
-    latest admissible, hence most feasible); for G it is t* = a; for the F-G
-    form (pass interval=[a,b] plus c1, c2) it is c1 + c2. The closure step
-    must be positive: a funnel cannot close instantly.
-    """
+def synth_l(gamma0: float, gamma_inf: float, rho_max: float, t_star: int) -> float:
+    """Decay rate l that makes the funnel reach rho_max at the closure step t_star."""
     if not (gamma_inf > 0):
         raise FunnelSynthesisError(f"gamma_inf must be positive, got {gamma_inf}")
     if not (rho_max > gamma_inf):
@@ -100,36 +92,7 @@ def synth_l(kind: str, interval: Interval, gamma0: float, gamma_inf: float,
             f"need gamma0 > rho_max, got gamma0={gamma0}, rho_max={rho_max}; "
             "the funnel would start below its target (override rho bounds if the "
             "state region is too tight)")
-
-    a, b = interval.lo, interval.hi
-    if kind == "G":
-        default = a
-        lo_ok, hi_ok = 1, b
-    elif kind == "F":
-        default = b
-        lo_ok, hi_ok = a, b
-    elif kind == "FG":
-        if c1 is None or c2 is None:
-            raise FunnelSynthesisError("FG synthesis requires c1 and c2")
-        default = c1 + c2
-        lo_ok, hi_ok = a + c2, c1 + c2
-    else:
-        raise FunnelSynthesisError(f"unknown operator kind {kind!r}")
-
-    ts = default if t_star is None else t_star
-    if ts <= 0:
-        raise FunnelSynthesisError(
-            f"closure step t*={ts} for {kind}{interval.pretty()} must be positive; "
-            "supply a t* override or use an interval with a > 0")
-    if t_star is not None and kind != "G" and not (lo_ok <= ts <= hi_ok):
-        raise FunnelSynthesisError(
-            f"t*={ts} outside the admissible range [{lo_ok},{hi_ok}] for {kind}{interval.pretty()}")
-    if kind == "G" and ts > b:
-        raise FunnelSynthesisError(
-            f"t*={ts} beyond the interval end {b} for G{interval.pretty()}")
-
-    l = math.log((gamma0 - gamma_inf) / (rho_max - gamma_inf)) / ts
-    return l, ts
+    return math.log((gamma0 - gamma_inf) / (rho_max - gamma_inf)) / t_star
 
 
 def gamma_eval(seg: FunnelSegment, t: int) -> float:
@@ -203,20 +166,23 @@ class FunnelSchedule:
         }
 
 
-def _conjunct_locals(c: TemporalConjunct, shift: int) -> dict:
-    """Interval data of a conjunct with the segment clock shifted by -shift."""
-    if c.kind == "FG":
+def _closure_steps(c: TemporalConjunct, shift: int) -> tuple[int, int, int]:
+    """(default, lo, hi) closure steps of a conjunct on a segment clock that
+    starts at global step shift.
+
+    F over [a,b] closes at b by default, the latest admissible step and hence
+    the most feasible; G closes at a, or at any positive step up to b; the F-G
+    form F[a,c1]G[c2,b] closes at c1 + c2, or from a + c2 on.
+    """
+    a, b = c.footprint.lo, c.footprint.hi
+    if c.kind == "F":
+        steps = (b, a, b)
+    elif c.kind == "G":
+        steps = (a, shift + 1, b)
+    else:
         node: FG = c.node  # type: ignore[assignment]
-        return {
-            "interval": Interval(max(node.a - shift, 0), node.c1 + node.b - shift),
-            "c1": node.c1 - shift,
-            "c2": node.c2,
-        }
-    iv = c.footprint
-    if iv.lo - shift < 0 or iv.hi - shift <= 0:
-        raise FunnelSynthesisError(
-            f"segment clock shift {shift} exceeds interval {iv.pretty()}")
-    return {"interval": Interval(iv.lo - shift, iv.hi - shift), "c1": None, "c2": None}
+        steps = (node.c1 + node.c2, a + node.c2, node.c1 + node.c2)
+    return tuple(step - shift for step in steps)  # type: ignore[return-value]
 
 
 def build_schedule(phi: Formula, rho_bounds: Sequence[RhoBounds], horizon: int,
@@ -243,42 +209,39 @@ def build_schedule(phi: Formula, rho_bounds: Sequence[RhoBounds], horizon: int,
     if len(rho_bounds) < len(conjuncts):
         raise FunnelSynthesisError(f"missing rho bounds for sub-formula {len(rho_bounds)}")
 
-    def params_for(idx: int, c: TemporalConjunct, shift: int) -> FunnelParams:
-        b = rho_bounds[idx]
-        if b.rho_max <= 0:
-            raise FunnelSynthesisError(
-                f"sub-formula {idx} ({c.body.pretty()}) has rho_max={b.rho_max} <= 0 "
-                "over the given state region; a funnel cannot enforce it")
-        gamma0 = b.rho_max - b.rho_min
-        gamma_inf = gamma_inf_overrides.get(idx, min(gamma0, b.rho_max) / 100.0)
-        if not (0 < gamma_inf < min(gamma0, b.rho_max)):
-            raise FunnelSynthesisError(
-                f"gamma_inf={gamma_inf} for sub-formula {idx} outside "
-                f"(0, {min(gamma0, b.rho_max)})")
-        loc = _conjunct_locals(c, shift)
-        l, ts = synth_l(c.kind, loc["interval"], gamma0, gamma_inf, b.rho_max,
-                        t_star=t_star_overrides.get(idx), c1=loc["c1"], c2=loc["c2"])
-        return FunnelParams(gamma0=gamma0, gamma_inf=gamma_inf, l=l,
-                            rho_max=b.rho_max, t_star=ts)
-
+    overlapping = cls is FragmentClass.OVERLAPPING_CONJUNCTION
+    order = sorted(range(len(conjuncts)),
+                   key=lambda i: (conjuncts[i].footprint.lo, conjuncts[i].footprint.hi, i))
     segments: list[FunnelSegment] = []
-    if cls is FragmentClass.OVERLAPPING_CONJUNCTION:
-        for idx, c in enumerate(conjuncts):
-            params = params_for(idx, c, shift=c.footprint.lo)
-            segments.append(FunnelSegment(
-                t_begin=c.footprint.lo, t_end=c.footprint.hi, params=params,
-                psi_index=idx, kind=c.kind, obligation=c.footprint))
-        segments.sort(key=lambda s: (s.t_begin, s.t_end, s.psi_index))
-    else:
-        order = sorted(range(len(conjuncts)), key=lambda i: conjuncts[i].footprint.lo)
-        prev_end = 0
-        for pos, idx in enumerate(order):
-            c = conjuncts[idx]
-            params = params_for(idx, c, shift=prev_end)
-            t_end = c.footprint.hi if pos < len(order) - 1 else horizon
-            segments.append(FunnelSegment(
-                t_begin=prev_end, t_end=t_end, params=params,
-                psi_index=idx, kind=c.kind, obligation=c.footprint))
-            prev_end = c.footprint.hi
-
+    prev_end = 0
+    for pos, idx in enumerate(order):
+        c, bounds = conjuncts[idx], rho_bounds[idx]
+        # An overlapping funnel opens where its own obligation starts; a
+        # sequential one re-opens where the previous obligation ended, and the
+        # last one runs to the horizon.
+        t_begin = c.footprint.lo if overlapping else prev_end
+        t_end = horizon if not overlapping and pos == len(order) - 1 else c.footprint.hi
+        prev_end = c.footprint.hi
+        if bounds.rho_max <= 0:
+            raise FunnelSynthesisError(
+                f"sub-formula {idx} ({c.body.pretty()}) has rho_max={bounds.rho_max} <= 0 "
+                "over the given state region; a funnel cannot enforce it")
+        default, lo, hi = _closure_steps(c, t_begin)
+        t_star = t_star_overrides.get(idx, default)
+        if t_star <= 0:
+            raise FunnelSynthesisError(
+                f"closure step t*={t_star} for {c.node.pretty()} on the segment clock from "
+                f"step {t_begin} must be positive; supply a t* override or use an "
+                "interval that starts later")
+        if not (lo <= t_star <= hi):
+            raise FunnelSynthesisError(
+                f"t*={t_star} outside the admissible range [{lo},{hi}] for "
+                f"{c.node.pretty()} on the segment clock from step {t_begin}")
+        gamma0 = bounds.rho_max - bounds.rho_min
+        gamma_inf = gamma_inf_overrides.get(idx, min(gamma0, bounds.rho_max) / 100.0)
+        params = FunnelParams(gamma0=gamma0, gamma_inf=gamma_inf,
+                              l=synth_l(gamma0, gamma_inf, bounds.rho_max, t_star),
+                              rho_max=bounds.rho_max, t_star=t_star)
+        segments.append(FunnelSegment(t_begin=t_begin, t_end=t_end, params=params,
+                                      psi_index=idx, kind=c.kind, obligation=c.footprint))
     return FunnelSchedule(segments=tuple(segments), horizon=horizon, fragment_class=cls)

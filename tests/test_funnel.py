@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,56 +30,103 @@ def pendulum_schedule(horizon=2000):
 
 def _segment(gamma0=1.0, gamma_inf=0.1, rho_max=0.5, t_star=10,
              t_begin=0, t_end=20, kind="G"):
-    l, ts = synth_l(kind, Interval(t_star, t_end), gamma0, gamma_inf, rho_max,
-                    t_star=t_star)
-    params = FunnelParams(gamma0=gamma0, gamma_inf=gamma_inf, l=l,
-                          rho_max=rho_max, t_star=ts)
+    params = FunnelParams(gamma0=gamma0, gamma_inf=gamma_inf,
+                          l=synth_l(gamma0, gamma_inf, rho_max, t_star),
+                          rho_max=rho_max, t_star=t_star)
     return FunnelSegment(t_begin=t_begin, t_end=t_end, params=params,
                          psi_index=0, kind=kind, obligation=Interval(t_star, t_end))
 
 
+def single_segment(text, t_star=None):
+    """The one segment of a single-conjunct formula: gamma0 = 1.0,
+    gamma_inf = 0.1 and rho_max = 0.5, so l = ln(0.9/0.4)/t*."""
+    sched = build_schedule(parse_formula(text, ["x"]), [RhoBounds(-0.5, 0.5)], 40,
+                           gamma_inf_overrides={0: 0.1},
+                           t_star_overrides={} if t_star is None else {0: t_star})
+    (seg,) = sched.segments
+    return seg
+
+
 # synth_l ----------------------------------------------------------------------
 
-def test_synth_l_always_operator():
-    l, ts = synth_l("G", Interval(10, 20), 1.0, 0.1, 0.5)
-    assert ts == 10
+def test_synth_l_closes_at_rho_max():
+    l = synth_l(1.0, 0.1, 0.5, 10)
     assert math.isclose(l, math.log(0.9 / 0.4) / 10, rel_tol=1e-12)
     assert math.isclose(l, 0.08109, abs_tol=5e-6)
 
 
-def test_synth_l_eventually_defaults_to_interval_end():
-    l, ts = synth_l("F", Interval(10, 20), 1.0, 0.1, 0.5)
-    assert ts == 20
-    assert math.isclose(l, 0.04055, abs_tol=5e-6)
-
-
 def test_synth_l_pendulum_first_segment():
-    l, ts = synth_l("G", Interval(400, 700), math.pi, 0.01, 0.05)
-    assert ts == 400
-    assert math.isclose(l, 0.01090, abs_tol=1e-5)
-
-
-def test_synth_l_fg_default():
-    l, ts = synth_l("FG", Interval(2, 10), 1.0, 0.1, 0.5, c1=6, c2=3)
-    assert ts == 9  # c1 + c2
-
-
-def test_synth_l_rejects_zero_closure():
-    with pytest.raises(FunnelSynthesisError, match="t\\*"):
-        synth_l("G", Interval(0, 20), 1.0, 0.1, 0.5)
-
-
-def test_synth_l_rejects_out_of_range_t_star():
-    with pytest.raises(FunnelSynthesisError, match="admissible range"):
-        synth_l("F", Interval(10, 20), 1.0, 0.1, 0.5, t_star=25)
+    assert math.isclose(synth_l(math.pi, 0.01, 0.05, 400), 0.01090, abs_tol=1e-5)
 
 
 def test_synth_l_rejects_log_argument_at_most_one():
     # gamma0 <= rho_max makes the log argument <= 1.
     with pytest.raises(FunnelSynthesisError, match="gamma0"):
-        synth_l("G", Interval(10, 20), 0.4, 0.1, 0.5)
+        synth_l(0.4, 0.1, 0.5, 10)
     with pytest.raises(FunnelSynthesisError, match="gamma_inf"):
-        synth_l("G", Interval(10, 20), 1.0, 0.6, 0.5)
+        synth_l(1.0, 0.6, 0.5, 10)
+
+
+# closure steps ----------------------------------------------------------------
+
+def test_always_operator_closes_at_interval_start():
+    seg = single_segment("G[10,20](x >= 1)")
+    assert seg.params.t_star == 10
+    assert seg.params.l == synth_l(1.0, 0.1, 0.5, 10)
+
+
+def test_eventually_defaults_to_interval_end():
+    seg = single_segment("F[10,20](x >= 1)")
+    assert seg.params.t_star == 20
+    assert math.isclose(seg.params.l, 0.04055, abs_tol=5e-6)
+
+
+def test_fg_defaults_to_c1_plus_c2():
+    assert single_segment("F[2,6]G[3,4](x >= 1)").params.t_star == 9
+
+
+def test_zero_closure_rejected():
+    with pytest.raises(FunnelSynthesisError, match="t\\*"):
+        single_segment("G[0,20](x >= 1)")
+
+
+def test_out_of_range_t_star_rejected():
+    for text, t_star, admissible in [("F[10,20](x >= 1)", 25, "[10,20]"),
+                                     ("F[10,20](x >= 1)", 9, "[10,20]"),
+                                     ("G[10,20](x >= 1)", 21, "[1,20]"),
+                                     ("F[2,6]G[3,4](x >= 1)", 4, "[5,9]"),
+                                     ("F[2,6]G[3,4](x >= 1)", 10, "[5,9]")]:
+        with pytest.raises(FunnelSynthesisError,
+                           match=re.escape(f"admissible range {admissible}")):
+            single_segment(text, t_star)
+
+
+def fg_segment(text, t_stars):
+    """Whether the schedule overlaps, and its F-G segment (conjunct 1)."""
+    sched = build_schedule(parse_formula(text, ["x"]), [RhoBounds(-1.0, 1.0)] * 2, 30,
+                           t_star_overrides=t_stars)
+    (seg,) = [s for s in sched.segments if s.psi_index == 1]
+    assert seg.kind == "FG"
+    return sched.overlapping, seg
+
+
+@pytest.mark.parametrize("text, t_stars, overlapping, t_begin, default, lo, hi", [
+    # Sequential: the F-G clock starts at the F's end, step 4, so
+    # F[6,10]G[2,5] closes at 10+2-4 = 8, or from 6+2-4 = 4 on.
+    ("F[2,4](x >= 1) & F[6,10]G[2,5](x >= 1)", {}, False, 4, 8, 4, 8),
+    # Overlapping: the F-G clock starts at its own a = 5, so F[5,10]G[2,6]
+    # closes at 10+2-5 = 7, or from 5+2-5 = 2 on.
+    ("G[0,30](x <= 3) & F[5,10]G[2,6](x >= 1)", {0: 10}, True, 5, 7, 2, 7),
+], ids=["sequential", "overlapping"])
+def test_fg_beside_another_conjunct(text, t_stars, overlapping, t_begin, default, lo, hi):
+    got_overlapping, seg = fg_segment(text, t_stars)
+    assert (got_overlapping, seg.t_begin, seg.params.t_star) == (overlapping, t_begin, default)
+    for t_star in (lo, hi):
+        assert fg_segment(text, {**t_stars, 1: t_star})[1].params.t_star == t_star
+    for t_star in (lo - 1, hi + 1):
+        with pytest.raises(FunnelSynthesisError,
+                           match=re.escape(f"admissible range [{lo},{hi}]")):
+            fg_segment(text, {**t_stars, 1: t_star})
 
 
 # gamma_eval -------------------------------------------------------------------
@@ -113,10 +161,9 @@ def test_closure_identity_random_draws():
         gamma0 = rho_max * float(rng.uniform(1.1, 10.0))
         gamma_inf = float(rng.uniform(1e-4, 0.9)) * min(gamma0, rho_max)
         t_star = int(rng.integers(1, 500))
-        l, ts = synth_l("F", Interval(0, t_star), gamma0, gamma_inf, rho_max,
-                        t_star=t_star)
-        params = FunnelParams(gamma0, gamma_inf, l, rho_max, ts)
-        assert abs(params.gamma(ts) - rho_max) <= 1e-9
+        params = FunnelParams(gamma0, gamma_inf, synth_l(gamma0, gamma_inf, rho_max, t_star),
+                              rho_max, t_star)
+        assert abs(params.gamma(t_star) - rho_max) <= 1e-9
         # Strictly decreasing along the segment.
         samples = [params.gamma(t) for t in range(0, t_star + 1)]
         assert all(a > b for a, b in zip(samples, samples[1:]))
