@@ -442,7 +442,7 @@ def load_checkpoint(path, expected_n_actions: int | None = None,
             version = header["version"]
         except KeyError as exc:
             raise CheckpointError(f"corrupt checkpoint {path}: missing {exc}") from exc
-        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile, NotImplementedError) as exc:
             raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -286,6 +288,24 @@ def test_checkpoint_corrupt_file(tmp_path):
         load_checkpoint(path)
     path.write_text(json.dumps({"version": 1}))
     with pytest.raises(CheckpointError, match="version-1 JSON checkpoint"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_unsupported_compression_method(tmp_path):
+    env, phi, spec, cfg = tiny_problem(total_steps=10)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(train(env, spec, phi, cfg).agent, path)
+    # Set the method field of every entry, in its local header and in the
+    # central directory, to 99, which zipfile does not implement.
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        infos, pos = archive.infolist(), archive.start_dir
+    for info in infos:
+        struct.pack_into("<H", data, info.header_offset + 8, 99)
+        struct.pack_into("<H", data, pos + 10, 99)
+        pos += 46 + sum(struct.unpack_from("<HHH", data, pos + 28))
+    path.write_bytes(data)
+    with pytest.raises(CheckpointError, match="corrupt.*compression method"):
         load_checkpoint(path)
 
 
