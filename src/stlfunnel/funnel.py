@@ -176,13 +176,13 @@ def _closure_steps(c: TemporalConjunct, shift: int) -> tuple[int, int, int]:
     """
     a, b = c.footprint.lo, c.footprint.hi
     if c.kind == "F":
-        steps = (b, a, b)
+        default, lo, hi = b, a, b
     elif c.kind == "G":
-        steps = (a, shift + 1, b)
+        default, lo, hi = a, shift + 1, b
     else:
         node: FG = c.node  # type: ignore[assignment]
-        steps = (node.c1 + node.c2, a + node.c2, node.c1 + node.c2)
-    return tuple(step - shift for step in steps)  # type: ignore[return-value]
+        default, lo, hi = node.c1 + node.c2, a + node.c2, node.c1 + node.c2
+    return default - shift, lo - shift, hi - shift
 
 
 def build_schedule(phi: Formula, rho_bounds: Sequence[RhoBounds], horizon: int,
