@@ -239,8 +239,11 @@ def build_schedule(phi: Formula, rho_bounds: Sequence[RhoBounds], horizon: int,
                 f"{c.node.pretty()} on the segment clock from step {t_begin}")
         gamma0 = bounds.rho_max - bounds.rho_min
         gamma_inf = gamma_inf_overrides.get(idx, min(gamma0, bounds.rho_max) / 100.0)
-        params = FunnelParams(gamma0=gamma0, gamma_inf=gamma_inf,
-                              l=synth_l(gamma0, gamma_inf, bounds.rho_max, t_star),
+        try:
+            l = synth_l(gamma0, gamma_inf, bounds.rho_max, t_star)
+        except FunnelSynthesisError as exc:
+            raise FunnelSynthesisError(f"sub-formula {idx} ({c.body.pretty()}): {exc}") from None
+        params = FunnelParams(gamma0=gamma0, gamma_inf=gamma_inf, l=l,
                               rho_max=bounds.rho_max, t_star=t_star)
         segments.append(FunnelSegment(t_begin=t_begin, t_end=t_end, params=params,
                                       psi_index=idx, kind=c.kind, obligation=c.footprint))

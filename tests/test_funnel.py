@@ -220,6 +220,12 @@ def test_schedule_rejects_nonpositive_rho_max():
         build_schedule(phi, [RhoBounds(-2.0, -0.5)], 50)
 
 
+def test_schedule_names_the_sub_formula_of_a_synthesis_error():
+    phi = parse_formula("F[2,4](x >= 1) & G[6,8](x <= 3)", ["x"])
+    with pytest.raises(FunnelSynthesisError, match="sub-formula 1 .*gamma_inf"):
+        build_schedule(phi, [RhoBounds(-0.5, 0.5)] * 2, 8, gamma_inf_overrides={1: 0.6})
+
+
 def test_schedule_rejects_short_horizon():
     phi = parse_formula("G[10,50](x >= 1)", ["x"])
     with pytest.raises(FunnelSynthesisError, match="horizon"):
